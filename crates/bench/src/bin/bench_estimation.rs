@@ -1,7 +1,7 @@
 //! Machine-readable performance snapshot for the batched estimation
 //! engine and the parallel summary build.
 //!
-//! Measures, per dataset and per join kernel (`indexed` and `bitmap`):
+//! Measures, per dataset, for the production `bitmap` join kernel:
 //!
 //! * queries/sec of the serial per-query `Estimator` loop versus
 //!   `EstimationEngine::estimate_batch` (one worker and one per core)
@@ -47,7 +47,7 @@ const REPS: usize = 3;
 /// Kernels the snapshot covers. The naive reference kernel is excluded:
 /// it exists for differential testing, not serving, and its quadratic
 /// sweeps would dominate the run time of every other measurement.
-const KERNELS: [JoinKernel; 2] = [JoinKernel::Indexed, JoinKernel::Bitmap];
+const KERNELS: [JoinKernel; 1] = [JoinKernel::Bitmap];
 
 /// Worker counts the scaling sweep measures by default; `0` is the
 /// auto setting (one worker per available core).

@@ -5,7 +5,7 @@
 //! xpe build <file.xml> -o <summary.xps>        build + save a summary
 //!     [--p-variance V] [--o-variance V] [--jobs N] [--stream]
 //! xpe estimate <summary.xps> <query>...        estimate selectivities
-//!     [--jobs N] [--join-cache N] [--estimate-cache N]
+//!     [--jobs N] [--join-cache N] [--estimate-cache N] [--kernel K]
 //!     [--deadline-ms N] [--max-query-nodes N]
 //! xpe exact <file.xml> <query>...              exact selectivities
 //! xpe generate <ssplays|dblp|xmark> -o <out.xml>
@@ -14,7 +14,7 @@
 //!     [--requests N] [--zipf S] [--templates N] [--mix A,B,C]
 //!                                              print a skewed query trace
 //! xpe serve <summary.xps> [--addr H:P] [--workers N] [--queue N]
-//!     [--deadline-ms N] [--max-query-nodes N] [--kernel K]
+//!     [--deadline-ms N] [--max-query-nodes N]
 //!     [--join-cache N] [--estimate-cache N]
 //!     [--read-timeout-ms N] [--write-timeout-ms N]
 //!     [--max-line-bytes N]                     estimation daemon
@@ -61,14 +61,14 @@ const USAGE: &str = "usage:
   xpe build <file.xml> -o <summary.xps> [--p-variance V] [--o-variance V]
       [--jobs N] [--stream]
   xpe estimate <summary.xps> [--jobs N] [--join-cache N] [--estimate-cache N]
-      [--kernel naive|indexed|bitmap]
+      [--kernel naive|bitmap]
       [--deadline-ms N] [--max-query-nodes N] <query>...
   xpe exact <file.xml> <query>...
   xpe generate <ssplays|dblp|xmark> -o <out.xml> [--scale S] [--seed N]
   xpe workload <ssplays|dblp|xmark> [--scale S] [--seed N] [--requests N]
       [--zipf S] [--templates N] [--mix SIMPLE,BRANCH,ORDER]
   xpe serve <summary.xps> [--addr HOST:PORT] [--workers N] [--queue N]
-      [--deadline-ms N] [--max-query-nodes N] [--kernel naive|indexed|bitmap]
+      [--deadline-ms N] [--max-query-nodes N]
       [--join-cache N] [--estimate-cache N]
       [--read-timeout-ms N] [--write-timeout-ms N]
       [--max-line-bytes N]
@@ -94,8 +94,8 @@ simple,branch,order), --templates popularity ranks per class, seeded
 and byte-reproducible. Pipe it through `xpe serve` to replay skewed
 production traffic.
 --kernel selects the path-join kernel (estimate): 'bitmap' (default,
-word-parallel pid bitmaps), 'indexed' (adjacency-row lists), or 'naive'
-(the paper's Figure-3 reference). All three print identical estimates.
+word-parallel pid bitmaps) or 'naive' (the paper's Figure-3 reference
+oracle, which ignores --deadline-ms). Both print identical estimates.
 --deadline-ms N gives each estimate a wall-clock budget; a query that
 exceeds it prints its tag-frequency upper bound flagged 'degraded'.
 --max-query-nodes N rejects queries with more steps before estimating.
@@ -268,7 +268,7 @@ fn cmd_estimate(args: &[String]) -> Result<(), String> {
     };
     let kernel = match flag(&flags, "kernel") {
         Some(v) => xpe::estimator::JoinKernel::parse(v)
-            .ok_or_else(|| format!("bad value for --kernel (naive|indexed|bitmap): {v}"))?,
+            .ok_or_else(|| format!("bad value for --kernel (naive|bitmap): {v}"))?,
         None => xpe::estimator::JoinKernel::default(),
     };
     let summary = Syn::load_from_file(path).map_err(|e| format!("loading {path}: {e}"))?;
@@ -356,11 +356,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         Some(v) => Some(v.parse().map_err(|_| "bad value for --max-query-nodes")?),
         None => None,
     };
-    let kernel = match flag(&flags, "kernel") {
-        Some(v) => xpe::estimator::JoinKernel::parse(v)
-            .ok_or_else(|| format!("bad value for --kernel (naive|indexed|bitmap): {v}"))?,
-        None => xpe::estimator::JoinKernel::default(),
-    };
     // 0 disables a socket timeout entirely; the defaults mirror
     // ServerConfig::default (30 s read, 10 s write).
     let timeout = |ms: u64| (ms > 0).then(|| std::time::Duration::from_millis(ms));
@@ -379,7 +374,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             deadline: deadline_ms.map(std::time::Duration::from_millis),
             max_join_edges: None,
         },
-        kernel,
         join_cache_capacity: parse_flag(
             &flags,
             "join-cache",

@@ -21,7 +21,7 @@ use std::cell::RefCell;
 use std::ops::Deref;
 use std::sync::Arc;
 
-use xpe_pathid::{JoinIndexCache, RelationMaskCache};
+use xpe_pathid::JoinIndexCache;
 use xpe_synopsis::{Region, Summary};
 use xpe_xpath::{
     constraint_chains, parse_query, Axis, OrderConstraint, OrderKind, Query, QueryNodeId,
@@ -32,8 +32,8 @@ use crate::editor::{self, subtree_of};
 use crate::estcache::{estimate_key, EstimateCache, EstimateCacheReader};
 use crate::invariant::{finalize_estimate, safe_div};
 use crate::join::{
-    path_join, path_join_bitmap_planned, path_join_planned, JoinKernel, JoinMemo, JoinPhaseStats,
-    JoinResult, JoinScratch,
+    path_join, path_join_bitmap_planned, JoinKernel, JoinMemo, JoinPhaseStats, JoinResult,
+    JoinScratch,
 };
 use crate::joincache::{skeleton_key, JoinCache, WorkerJoinCache};
 use crate::planner::QueryPlan;
@@ -44,19 +44,17 @@ use crate::serve::{
 
 /// Selectivity estimator over a prebuilt [`Summary`].
 ///
-/// Every estimator memoizes the relation masks and containment
-/// adjacencies its joins compute (keyed by `(tag_u, tag_v, axis)` — pure
-/// functions of the summary's encoding table) and recycles the joins'
-/// per-node list allocations. On top of the shared caches each estimator
-/// keeps a private lock-free [`JoinMemo`] — flat `Vec`-indexed adjacency
-/// and seed-bitmap tables filled on first miss — so a warm join never
-/// takes a lock or hashes a key. Estimators built by
-/// [`EstimationEngine`](crate::EstimationEngine) share one mask cache, one
-/// adjacency index, and one workload-level [`JoinCache`], so a batch warms
-/// all three for every worker.
+/// Every estimator memoizes the containment adjacencies its joins compute
+/// (keyed by `(tag_u, tag_v, axis)` — pure functions of the summary) and
+/// recycles the joins' per-node list allocations. On top of the shared
+/// adjacency index each estimator keeps a private lock-free [`JoinMemo`]
+/// — flat `Vec`-indexed adjacency and seed-bitmap tables filled on first
+/// miss — so a warm join never takes a lock or hashes a key. Estimators
+/// built by [`EstimationEngine`](crate::EstimationEngine) share one
+/// adjacency index and one workload-level [`JoinCache`], so a batch warms
+/// both for every worker.
 pub struct Estimator<'s> {
     summary: &'s Summary,
-    masks: Arc<RelationMaskCache>,
     adjacency: Arc<JoinIndexCache>,
     /// Worker-private front for the shared workload-level [`JoinCache`]:
     /// lookups and publishes stay in this estimator's unsynchronized map
@@ -115,29 +113,22 @@ struct Chain {
 impl<'s> Estimator<'s> {
     /// Creates an estimator reading from `summary`.
     pub fn new(summary: &'s Summary) -> Self {
-        Self::with_mask_cache(summary, Arc::new(RelationMaskCache::new()))
+        Self::with_caches(summary, Arc::new(JoinIndexCache::new()), None)
     }
 
-    /// Creates an estimator sharing an externally owned mask cache — how
-    /// the batch engine gives every worker the same warm memo table.
-    pub fn with_mask_cache(summary: &'s Summary, masks: Arc<RelationMaskCache>) -> Self {
-        Self::with_caches(summary, masks, Arc::new(JoinIndexCache::new()), None)
-    }
-
-    /// Creates an estimator sharing all three kernel caches: relation
-    /// masks, containment adjacency, and (optionally) the workload-level
-    /// join cache. None of them change any estimate — joins are pure
-    /// functions of `(summary, query skeleton)` — only how fast the
-    /// estimate is produced.
+    /// Creates an estimator sharing both kernel caches: the containment
+    /// adjacency index and (optionally) the workload-level join cache —
+    /// how the batch engine gives every worker the same warm tables.
+    /// Neither changes any estimate — joins are pure functions of
+    /// `(summary, query skeleton)` — only how fast the estimate is
+    /// produced.
     pub fn with_caches(
         summary: &'s Summary,
-        masks: Arc<RelationMaskCache>,
         adjacency: Arc<JoinIndexCache>,
         join_cache: Option<Arc<JoinCache>>,
     ) -> Self {
         Estimator {
             summary,
-            masks,
             adjacency,
             join_cache: join_cache.map(|c| RefCell::new(WorkerJoinCache::new(c))),
             est_cache: None,
@@ -192,11 +183,6 @@ impl<'s> Estimator<'s> {
     /// Resets the per-phase join breakdown.
     pub fn reset_join_phase_stats(&self) {
         self.scratch.borrow_mut().reset_phase_stats();
-    }
-
-    /// The shared relation-mask memo table.
-    pub fn mask_cache(&self) -> &Arc<RelationMaskCache> {
-        &self.masks
     }
 
     /// The shared containment-adjacency index.
@@ -285,16 +271,6 @@ impl<'s> Estimator<'s> {
         let budget = self.budget.borrow();
         match self.kernel {
             JoinKernel::Naive => path_join(self.summary, query),
-            JoinKernel::Indexed => path_join_planned(
-                self.summary,
-                query,
-                plan,
-                Some(&self.masks),
-                Some(&self.adjacency),
-                Some(&mut self.memo.borrow_mut()),
-                Some(&mut self.scratch.borrow_mut()),
-                budget.as_ref(),
-            ),
             JoinKernel::Bitmap => path_join_bitmap_planned(
                 self.summary,
                 query,
@@ -799,20 +775,17 @@ mod tests {
     #[test]
     fn conversion_unknown_tag_returns_join_scratch_to_the_pool() {
         let s = summary();
-        for kernel in [JoinKernel::Indexed, JoinKernel::Bitmap] {
-            let est = Estimator::new(&s).with_kernel(kernel);
-            // Document chain (C before B), both heads known, owner tag
-            // absent from the document: the conversion join runs, then
-            // bails on the unknown owner tag.
-            let q = parse_query("//Zebra[/C/foll::$B]").unwrap();
-            assert_eq!(est.estimate(&q), 0.0);
-            assert_eq!(
-                est.scratch.borrow().pooled(),
-                q.len(),
-                "{}: every join list recycled",
-                kernel.name()
-            );
-        }
+        let est = Estimator::new(&s).with_kernel(JoinKernel::Bitmap);
+        // Document chain (C before B), both heads known, owner tag absent
+        // from the document: the conversion join runs, then bails on the
+        // unknown owner tag.
+        let q = parse_query("//Zebra[/C/foll::$B]").unwrap();
+        assert_eq!(est.estimate(&q), 0.0);
+        assert_eq!(
+            est.scratch.borrow().pooled(),
+            q.len(),
+            "every join list recycled"
+        );
     }
 
     /// Warm private memos and plans change nothing observable: a reused

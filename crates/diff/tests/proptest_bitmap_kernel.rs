@@ -11,8 +11,9 @@
 //! same pids, same order, same `f64` frequency bits. These tests assert
 //! exactly that over random documents and random twig queries (both
 //! axes, order constraints, and tags absent from the document), for the
-//! screened kernel, the unscreened ablation, and the budgeted entry
-//! point with an effectively unlimited budget.
+//! plain entry point and the planned, budgeted one with an effectively
+//! unlimited budget — and that the engine's caches in front of the
+//! kernel never change an estimate either.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -21,13 +22,12 @@ use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 
 use xpe_core::{
-    path_join, path_join_bitmap, path_join_bitmap_budgeted, path_join_bitmap_unscreened,
-    path_join_cached, Budget, BudgetState, EstimationEngine, Estimator, JoinCache, JoinKernel,
-    JoinScratch,
+    path_join, path_join_bitmap, path_join_bitmap_planned, Budget, BudgetState, EstimationEngine,
+    Estimator, JoinCache, JoinKernel, JoinScratch, QueryPlan,
 };
 use xpe_datagen::{random_document, RandomDocConfig};
 use xpe_diff::{random_query, tag_paths};
-use xpe_pathid::{JoinIndexCache, Pid, RelationMaskCache};
+use xpe_pathid::{JoinIndexCache, Pid};
 use xpe_synopsis::{Summary, SummaryConfig};
 
 /// One random `(document, queries)` scenario derived from a master seed —
@@ -168,7 +168,7 @@ fn warm_plans_are_bit_identical_on_wide_interner() {
     check_warm_paths(&summary, &queries);
 }
 
-/// Every kernel stays bit-identical to the naive oracle on an interner
+/// The bitmap kernel stays bit-identical to the naive oracle on an interner
 /// wider than the 64-bit support signature — deterministic coverage the
 /// random scenarios (tag_count ≤ 3, max_depth ≤ 5) can never reach.
 #[test]
@@ -181,11 +181,6 @@ fn wide_interner_kernels_match_naive() {
         let bitmap = path_join_bitmap(&summary, query, &index, Some(&mut scratch));
         assert_eq!(as_bits(&bitmap.lists), reference, "bitmap {query}");
         scratch.recycle(bitmap);
-        let bare = path_join_bitmap_unscreened(&summary, query, &index, None);
-        assert_eq!(as_bits(&bare.lists), reference, "unscreened {query}");
-        let indexed = path_join_cached(&summary, query, None, Some(&index), Some(&mut scratch));
-        assert_eq!(as_bits(&indexed.lists), reference, "indexed {query}");
-        scratch.recycle(indexed);
     }
 }
 
@@ -210,23 +205,7 @@ proptest! {
         }
     }
 
-    /// Ablation parity: skipping the per-(tag,axis) candidate-bitmap
-    /// pre-screen does strictly more row tests but must never change the
-    /// fixpoint.
-    #[test]
-    fn unscreened_bitmap_join_matches_naive(seed in 0u64..1_000_000) {
-        let (summary, queries) = scenario(seed);
-        let index = JoinIndexCache::new();
-        let mut scratch = JoinScratch::new();
-        for query in &queries {
-            let reference = as_bits(&path_join(&summary, query).lists);
-            let bare = path_join_bitmap_unscreened(&summary, query, &index, Some(&mut scratch));
-            prop_assert_eq!(&as_bits(&bare.lists), &reference, "seed {}", seed);
-            scratch.recycle(bare);
-        }
-    }
-
-    /// The budgeted entry point under a budget it can never exhaust is
+    /// The planned entry point under a budget it can never exhaust is
     /// the same kernel: identical lists, no exhaustion, and a nonzero
     /// edge charge whenever the query has edges to sweep.
     #[test]
@@ -240,16 +219,43 @@ proptest! {
                 deadline: None,
                 max_join_edges: Some(1_000_000),
             });
-            let got = path_join_bitmap_budgeted(
+            let plan = QueryPlan::build(&summary, query);
+            let got = path_join_bitmap_planned(
                 &summary,
                 query,
+                &plan,
                 &index,
+                None,
                 Some(&mut scratch),
                 Some(&budget),
             );
             prop_assert!(budget.exhausted().is_none(), "seed {}", seed);
             prop_assert_eq!(&as_bits(&got.lists), &reference, "seed {}", seed);
             scratch.recycle(got);
+        }
+    }
+
+    /// End to end: a batch engine with the workload join cache enabled
+    /// (including intra-query hits from repeated derived skeletons)
+    /// produces bit-identical estimates to a bare, cacheless estimator.
+    #[test]
+    fn cached_engine_estimates_match_plain_estimator(seed in 0u64..1_000_000) {
+        let (summary, queries) = scenario(seed);
+        let plain = Estimator::new(&summary);
+        let serial: Vec<u64> = queries
+            .iter()
+            .map(|q| plain.estimate(q).to_bits())
+            .collect();
+        // Run the batch twice so the second pass is served from the warm
+        // join cache rather than the kernel.
+        let engine = EstimationEngine::new(&summary).with_threads(2);
+        for run in 0..2 {
+            let batch: Vec<u64> = engine
+                .estimate_batch(&queries)
+                .iter()
+                .map(|v| v.to_bits())
+                .collect();
+            prop_assert_eq!(&batch, &serial, "seed {} run {}", seed, run);
         }
     }
 }
@@ -273,16 +279,10 @@ fn check_lazy_merge(summary: &Summary, queries: &[xpe_xpath::Query]) {
             .collect();
         for workers in [1usize, 2, 4] {
             let shared = Arc::new(JoinCache::with_capacity(64));
-            let masks = Arc::new(RelationMaskCache::new());
             let adjacency = Arc::new(JoinIndexCache::new());
             let make = || {
-                Estimator::with_caches(
-                    summary,
-                    Arc::clone(&masks),
-                    Arc::clone(&adjacency),
-                    Some(Arc::clone(&shared)),
-                )
-                .with_kernel(kernel)
+                Estimator::with_caches(summary, Arc::clone(&adjacency), Some(Arc::clone(&shared)))
+                    .with_kernel(kernel)
             };
             let ests: Vec<Estimator> = (0..workers).map(|_| make()).collect();
             // Round-robin the queries across workers; after each query,

@@ -22,10 +22,6 @@ use xpe_diff::{random_query, tag_paths};
 use xpe_synopsis::{Summary, SummaryConfig};
 use xpe_xpath::{Axis, OrderConstraint, OrderKind, Query};
 
-/// All three kernels: the naive reference is cheap at these document
-/// sizes and pins the cache against the paper's Figure-3 semantics too.
-const KERNELS: [JoinKernel; 3] = [JoinKernel::Naive, JoinKernel::Indexed, JoinKernel::Bitmap];
-
 /// One random `(document, queries)` scenario derived from a master seed —
 /// the same sampling ranges the differential battery uses.
 fn scenario(seed: u64) -> (Summary, Vec<Query>) {
@@ -118,7 +114,10 @@ proptest! {
         if queries.is_empty() {
             return Ok(());
         }
-        for kernel in KERNELS {
+        // Every kernel, the naive oracle included: it is cheap at these
+        // document sizes and pins the cache against the paper's Figure-3
+        // semantics too.
+        for kernel in JoinKernel::ALL {
             let expected = uncached_bits(&summary, kernel, &queries);
             for threads in [1usize, 2] {
                 let engine = EstimationEngine::new(&summary)
@@ -165,7 +164,7 @@ proptest! {
         if variants.is_empty() {
             return Ok(());
         }
-        for kernel in KERNELS {
+        for kernel in JoinKernel::ALL {
             let expected = uncached_bits(&summary, kernel, &variants);
             let engine = EstimationEngine::new(&summary)
                 .with_threads(1)

@@ -53,9 +53,7 @@ pub use bits::{Ones, PathIdBits};
 pub use encoding::{EncodingTable, PathEncoding};
 pub use interner::{Pid, PidInterner};
 pub use label::Labeling;
-pub use rel::{
-    axis_compatible, axis_compatible_masked, relation_mask, RelationMaskCache, RelationMaskSnapshot,
-};
+pub use rel::{axis_compatible, axis_compatible_masked, relation_mask};
 pub use slab::{PidBitmapSlab, PidBitsRef};
 pub use stream::{PathScan, StreamLabeler, StreamLabeling, StreamSink};
 pub use tree::PathIdTree;

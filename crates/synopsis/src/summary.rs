@@ -284,8 +284,9 @@ impl Summary {
 
     /// The containment adjacency of `(tag_u, tag_v, child_axis)` over this
     /// summary's encoding table and interned pids, built through (and
-    /// memoized in) `cache` — the per-summary hook the indexed join kernel
-    /// resolves edges against.
+    /// memoized in) `cache` — the per-summary hook the bitmap join kernel
+    /// resolves edges against: one forward and one reverse bit row per
+    /// pid that passes the key's mask screen.
     pub fn adjacency(
         &self,
         cache: &JoinIndexCache,

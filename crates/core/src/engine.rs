@@ -16,6 +16,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use xpe_par::ItemPanic;
 use xpe_pathid::JoinIndexCache;
 use xpe_synopsis::Summary;
 use xpe_xpath::{Query, QueryParseError};
@@ -268,11 +269,12 @@ impl<'s> EstimationEngine<'s> {
 
     /// Kernel counters accumulated over this engine's lifetime.
     ///
-    /// Flushes the resident estimator's private join-cache tallies first
-    /// so single-query traffic through [`estimate`](Self::estimate) is
-    /// visible; batch workers flush at chunk boundaries and when they
-    /// retire. Reads only atomics and never takes a shared lock itself,
-    /// so `lock_acquisitions` deltas measure the estimates in between.
+    /// Flushes the resident estimator's cache tallies first so
+    /// single-query traffic through [`estimate`](Self::estimate) is
+    /// visible; batch workers fold theirs when they retire, before the
+    /// batch call returns. Reads only atomics and never takes a shared
+    /// lock itself, so `lock_acquisitions` deltas measure the estimates
+    /// in between.
     pub fn kernel_stats(&self) -> KernelStats {
         self.local.flush_caches();
         let (hits, misses, rate, join_locks) = match &self.join_cache {
@@ -337,30 +339,16 @@ impl<'s> EstimationEngine<'s> {
     /// `out[i]` is the estimate of `queries[i]`. Bit-identical to calling
     /// [`estimate`](Self::estimate) per query in order.
     ///
-    /// Each worker owns a private join-cache front and merges it into the
-    /// shared cache after every claimed chunk, so between merge points a
-    /// worker's warm path touches no shared cache line at all — the
-    /// per-query shard locking of a naively shared cache is the main
-    /// scaling bottleneck this avoids. Merging later never changes a
-    /// result (joins are pure), only when other workers can reuse it.
+    /// Runs on the same worker loop as
+    /// [`try_estimate_batch_with`](Self::try_estimate_batch_with), calling
+    /// [`Estimator::estimate`]: the engine's limits and budget do not
+    /// apply, and a panicking query panics the caller once the batch has
+    /// run (the first panic in input order is re-raised).
     pub fn estimate_batch(&self, queries: &[Query]) -> Vec<f64> {
-        let summary = self.summary;
-        let adjacency = &self.adjacency;
-        let join_cache = &self.join_cache;
-        let est_cache = &self.est_cache;
-        let kernel = self.kernel;
-        xpe_par::par_map_init_flushed(
-            self.threads,
-            queries.len(),
-            0,
-            || {
-                Estimator::with_caches(summary, Arc::clone(adjacency), join_cache.clone())
-                    .with_estimate_cache(est_cache.clone())
-                    .with_kernel(kernel)
-            },
-            |est, i| est.estimate(&queries[i]),
-            |est| est.flush_caches(),
-        )
+        self.run_batch(queries, |est, q| est.estimate(q))
+            .into_iter()
+            .map(|r| r.unwrap_or_else(|p| p.resume()))
+            .collect()
     }
 
     /// Fallible estimation of one query under the engine's admission
@@ -393,44 +381,54 @@ impl<'s> EstimationEngine<'s> {
     where
         F: Fn(&Estimator<'s>, &Query) -> EstimateOutcome + Sync,
     {
+        self.run_batch(queries, f)
+            .into_iter()
+            .zip(queries)
+            .map(|(r, q)| {
+                let out = r.unwrap_or_else(|panic| {
+                    let cap = self.local.tag_cap(q);
+                    EstimateOutcome {
+                        value: finalize_estimate(cap, cap),
+                        status: EstimateStatus::Degraded {
+                            reason: DegradedReason::Panicked {
+                                message: panic.message,
+                            },
+                        },
+                    }
+                });
+                self.outcomes.tally(&out);
+                out
+            })
+            .collect()
+    }
+
+    /// The one batch worker loop: `f` runs per query on a per-worker
+    /// [`Estimator`] sharing the engine's caches, under
+    /// [`xpe_par::par_map_isolated`]. Each worker's estimator drops — and
+    /// so folds its cache tallies into the shared counters — before this
+    /// returns.
+    fn run_batch<R, F>(&self, queries: &[Query], f: F) -> Vec<Result<R, ItemPanic>>
+    where
+        R: Send,
+        F: Fn(&Estimator<'s>, &Query) -> R + Sync,
+    {
+        // The engine itself is not `Sync` (its resident estimator holds
+        // `RefCell`s), so the worker `init` captures the shared parts.
         let summary = self.summary;
         let adjacency = &self.adjacency;
         let join_cache = &self.join_cache;
         let est_cache = &self.est_cache;
         let kernel = self.kernel;
-        let results = xpe_par::par_map_init_chunked_isolated(
+        xpe_par::par_map_isolated(
             self.threads,
             queries.len(),
-            0,
             || {
                 Estimator::with_caches(summary, Arc::clone(adjacency), join_cache.clone())
                     .with_estimate_cache(est_cache.clone())
                     .with_kernel(kernel)
             },
             |est, i| f(est, &queries[i]),
-        );
-        results
-            .into_iter()
-            .zip(queries)
-            .map(|(r, q)| {
-                let out = match r {
-                    Ok(out) => out,
-                    Err(panic) => {
-                        let cap = self.local.tag_cap(q);
-                        EstimateOutcome {
-                            value: finalize_estimate(cap, cap),
-                            status: EstimateStatus::Degraded {
-                                reason: DegradedReason::Panicked {
-                                    message: panic.message,
-                                },
-                            },
-                        }
-                    }
-                };
-                self.outcomes.tally(&out);
-                out
-            })
-            .collect()
+        )
     }
 }
 
@@ -812,11 +810,46 @@ mod tests {
                 reason: crate::DegradedReason::JoinBudget
             }
         );
+        // The truncated join published nothing at all: the shared join
+        // cache is still empty once the resident front has flushed.
+        engine.kernel_stats();
+        assert_eq!(engine.join_cache().unwrap().len(), 0);
         // The truncated join was never published: a healthy engine
         // sharing nothing still computes the exact value, and this
         // engine's own infallible path is unaffected by the stale cache.
         let exact = Estimator::new(&s).estimate(&query);
         assert_eq!(engine.estimate(&query).to_bits(), exact.to_bits());
+    }
+
+    /// Batch workers fold their cache tallies when their estimators drop,
+    /// before the batch call returns, so the shared counters are exact
+    /// without any flush hook: one estimate-cache lookup per query.
+    #[test]
+    fn batch_cache_tallies_are_exact_when_the_call_returns() {
+        let s = summary();
+        let queries: Vec<Query> = QUERIES
+            .iter()
+            .cycle()
+            .take(40)
+            .map(|q| parse_query(q).unwrap())
+            .collect();
+        let n = queries.len() as u64;
+        for threads in [1, 2] {
+            let engine = EstimationEngine::new(&s).with_threads(threads);
+            let cache = engine.estimate_cache().unwrap();
+            engine.estimate_batch(&queries);
+            assert_eq!(
+                cache.hits() + cache.misses(),
+                n,
+                "estimate_batch, threads={threads}"
+            );
+            engine.try_estimate_batch(&queries);
+            assert_eq!(
+                cache.hits() + cache.misses(),
+                2 * n,
+                "try_estimate_batch, threads={threads}"
+            );
+        }
     }
 
     #[test]

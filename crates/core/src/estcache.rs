@@ -329,9 +329,9 @@ impl EstimateCache {
 /// refresh (one mutex acquisition), and a publish adopts the snapshot it
 /// created, so a single-writer workload re-locks nothing. Hit/miss
 /// tallies accumulate locally and fold into the shared counters at
-/// [`flush`](Self::flush) (the engine flushes in `kernel_stats()` and
-/// batch workers at chunk boundaries) and on drop, keeping even the
-/// counter cache lines off the warm path.
+/// [`flush`](Self::flush) (the engine flushes in `kernel_stats()`) and
+/// on drop (batch workers retire before the batch returns), keeping
+/// even the counter cache lines off the warm path.
 #[derive(Debug)]
 pub struct EstimateCacheReader {
     shared: Arc<EstimateCache>,

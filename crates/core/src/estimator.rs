@@ -57,10 +57,9 @@ pub struct Estimator<'s> {
     summary: &'s Summary,
     adjacency: Arc<JoinIndexCache>,
     /// Worker-private front for the shared workload-level [`JoinCache`]:
-    /// lookups and publishes stay in this estimator's unsynchronized map
-    /// and merge into the shared shards lazily — at
-    /// [`flush_join_cache`](Self::flush_join_cache) (the batch engine
-    /// calls it at chunk boundaries) and on drop.
+    /// warm lookups stay in this estimator's unsynchronized map, completed
+    /// results write through to the shared shards, and hit/miss tallies
+    /// fold in at [`flush_caches`](Self::flush_caches) and on drop.
     join_cache: Option<RefCell<WorkerJoinCache>>,
     /// Worker-private front for the shared full-query
     /// [`EstimateCache`]: warm hits probe this reader's held snapshot
@@ -193,61 +192,36 @@ impl<'s> Estimator<'s> {
     /// Runs the path join through this estimator's caches: the
     /// worker-private join-cache front first (keyed by the query's
     /// structural skeleton; it probes the shared shard once on a local
-    /// miss), then the selected kernel — driven by the skeleton's
-    /// prepared [`QueryPlan`], cache-served when a previous call
-    /// published one — finally publishing plan and result locally, to be
-    /// merged into the shared cache at the next flush.
+    /// miss), then the selected kernel, finally publishing the completed
+    /// result, written through to the shared cache.
     fn join(&self, query: &Query) -> Joined {
         let Some(cache) = &self.join_cache else {
-            let plan = self.build_plan(query);
-            return Joined::Owned(self.run_join(query, &plan));
+            return Joined::Owned(self.run_join(query));
         };
         let key = skeleton_key(query);
-        let hit = cache.borrow_mut().lookup(&key);
-        if let Some(h) = &hit {
-            if let Some(result) = &h.result {
-                return Joined::Shared(Arc::clone(result));
-            }
+        if let Some(result) = cache.borrow_mut().lookup(&key) {
+            return Joined::Shared(result);
         }
-        let plan = match hit {
-            Some(h) => h.plan,
-            None => Arc::new(self.build_plan(query)),
-        };
-        let result = self.run_join(query, &plan);
+        let result = self.run_join(query);
         // A budget-truncated join is not the fixpoint — never publish it
         // to the cache, where an unbudgeted estimator (or a later
-        // healthy query) would mistake it for the real result. The plan
-        // is budget-independent, so it is published either way.
+        // healthy query) would mistake it for the real result.
         if self.budget_exhausted() {
-            cache.borrow_mut().publish(key, plan, None);
             return Joined::Owned(result);
         }
         let result = Arc::new(result);
-        cache
-            .borrow_mut()
-            .publish(key, plan, Some(Arc::clone(&result)));
+        cache.borrow_mut().publish(key, Arc::clone(&result));
         Joined::Shared(result)
     }
 
-    /// Merges this estimator's private join-cache entries and hit/miss
-    /// tallies into the shared [`JoinCache`], making them visible to
-    /// every other estimator sharing it. A no-op without a join cache,
-    /// and lock-free when there is nothing pending. Also runs on drop;
-    /// the batch engine calls it at chunk boundaries so warm results
-    /// propagate across workers mid-batch.
-    pub fn flush_join_cache(&self) {
-        if let Some(cache) = &self.join_cache {
-            cache.borrow_mut().merge();
-        }
-    }
-
-    /// Flushes every shared-cache front this estimator holds: the
-    /// join-cache merge of [`flush_join_cache`](Self::flush_join_cache)
-    /// plus the estimate-cache hit/miss tallies (entries themselves are
-    /// epoch-published immediately; only the counters are batched). Also
-    /// runs on drop.
+    /// Folds the hit/miss tallies of every shared-cache front this
+    /// estimator holds — the join-cache and the estimate-cache fronts —
+    /// into the shared counters. Entries themselves are published
+    /// immediately; only the counters are batched. Also runs on drop.
     pub fn flush_caches(&self) {
-        self.flush_join_cache();
+        if let Some(front) = &self.join_cache {
+            front.borrow_mut().flush();
+        }
         if let Some(front) = &self.est_cache {
             front.borrow_mut().flush();
         }
@@ -267,19 +241,21 @@ impl<'s> Estimator<'s> {
         plan
     }
 
-    fn run_join(&self, query: &Query, plan: &QueryPlan) -> JoinResult {
-        let budget = self.budget.borrow();
+    fn run_join(&self, query: &Query) -> JoinResult {
         match self.kernel {
             JoinKernel::Naive => path_join(self.summary, query),
-            JoinKernel::Bitmap => path_join_bitmap_planned(
-                self.summary,
-                query,
-                plan,
-                &self.adjacency,
-                Some(&mut self.memo.borrow_mut()),
-                Some(&mut self.scratch.borrow_mut()),
-                budget.as_ref(),
-            ),
+            JoinKernel::Bitmap => {
+                let plan = self.build_plan(query);
+                path_join_bitmap_planned(
+                    self.summary,
+                    query,
+                    &plan,
+                    &self.adjacency,
+                    Some(&mut self.memo.borrow_mut()),
+                    Some(&mut self.scratch.borrow_mut()),
+                    self.budget.borrow().as_ref(),
+                )
+            }
         }
     }
 

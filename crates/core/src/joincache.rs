@@ -17,11 +17,10 @@
 //! pass-through hasher), so a lookup hashes the key bytes exactly one
 //! time instead of the two SipHash passes the derived `Hash` used to
 //! cost. [`JoinCache`] is a sharded LRU keyed by it, shared by every
-//! worker of an [`EstimationEngine`](crate::EstimationEngine) batch. Each
-//! entry carries the skeleton's prepared [`QueryPlan`] next to the
-//! (optional) memoized `Arc<JoinResult>`: budget-truncated joins are
-//! never published as results, but their plans are — a later healthy
-//! query on the same skeleton still skips the tag-resolution work.
+//! worker of an [`EstimationEngine`](crate::EstimationEngine) batch. An
+//! entry is a completed `Arc<JoinResult>` and nothing else: a
+//! budget-truncated join is not the fixpoint, so it publishes nothing,
+//! and a later miss on its skeleton rebuilds the prepared plan.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -29,7 +28,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
 use crate::join::JoinResult;
-use crate::planner::QueryPlan;
 use xpe_xpath::{Axis, Query};
 
 /// Canonical encoding of a query's structural skeleton: the root axis,
@@ -119,24 +117,10 @@ impl Hasher for PrehashedHasher {
     }
 }
 
-/// One cache entry: recency tick, the skeleton's prepared plan, and the
-/// memoized join result (absent when only a budget-truncated join — whose
-/// lists are not the fixpoint — has run for this skeleton so far).
+/// One cache entry: recency tick and the memoized join result.
 struct Entry {
     tick: u64,
-    plan: Arc<QueryPlan>,
-    result: Option<Arc<JoinResult>>,
-}
-
-/// What a [`JoinCache::lookup`] found for a skeleton: always the prepared
-/// plan, plus the memoized result when a completed join has been
-/// published.
-pub struct CacheHit {
-    /// The skeleton's prepared query plan.
-    pub plan: Arc<QueryPlan>,
-    /// The memoized join result, if a full (never budget-truncated) join
-    /// has been published for this skeleton.
-    pub result: Option<Arc<JoinResult>>,
+    result: Arc<JoinResult>,
 }
 
 /// One LRU shard: key → entry. Eviction scans for the minimum tick —
@@ -157,14 +141,13 @@ impl Shard {
 
 const SHARDS: usize = 8;
 
-/// A sharded LRU cache of prepared plans and join results keyed by query
+/// A sharded LRU cache of completed join results keyed by query
 /// skeleton.
 ///
 /// Thread-safe: shards are independently locked, so concurrent batch
 /// workers rarely contend. Hit/miss counters feed the benchmark report's
-/// `join_cache_hit_rate`; they count *join result* reuse only (a plan-only
-/// entry still misses — the join must run), and a disabled cache
-/// (capacity 0) counts neither, matching an engine built without one.
+/// `join_cache_hit_rate`, and a disabled cache (capacity 0) counts
+/// neither, matching an engine built without one.
 pub struct JoinCache {
     shards: Vec<Mutex<Shard>>,
     /// Per-shard capacity; 0 disables the cache (every lookup returns
@@ -220,28 +203,24 @@ impl JoinCache {
             .unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Looks up a skeleton, refreshing its recency. Returns the entry's
-    /// plan (and result, when one is published); counts a hit iff the
-    /// result is present, a miss otherwise — except on a disabled cache,
-    /// which counts nothing (there is no cache to hit or miss).
-    pub fn lookup(&self, key: &SkeletonKey) -> Option<CacheHit> {
+    /// Looks up a skeleton, refreshing its recency, and counts a hit or a
+    /// miss — except on a disabled cache, which counts nothing (there is
+    /// no cache to hit or miss).
+    pub fn lookup(&self, key: &SkeletonKey) -> Option<Arc<JoinResult>> {
         if self.shard_capacity == 0 {
             return None;
         }
         let found = self.peek(key);
-        match &found {
-            Some(hit) if hit.result.is_some() => self.hits.fetch_add(1, Ordering::Relaxed),
-            _ => self.misses.fetch_add(1, Ordering::Relaxed),
-        };
+        self.add_counts(found.is_some() as u64, found.is_none() as u64);
         found
     }
 
     /// [`lookup`](Self::lookup) without the hit/miss accounting: the
-    /// probe [`WorkerJoinCache`] issues on a local miss. The worker cache
-    /// tallies hits and misses itself and folds them in at merge time,
-    /// so counting here would double-book them. Recency is still
-    /// refreshed — a peek is a real use of the entry.
-    fn peek(&self, key: &SkeletonKey) -> Option<CacheHit> {
+    /// probe [`WorkerJoinCache`] issues on a local miss. The worker front
+    /// tallies hits and misses itself and folds them in at flush, so
+    /// counting here would double-book them. Recency is still refreshed —
+    /// a peek is a real use of the entry.
+    fn peek(&self, key: &SkeletonKey) -> Option<Arc<JoinResult>> {
         if self.shard_capacity == 0 {
             return None;
         }
@@ -249,15 +228,12 @@ impl JoinCache {
         let tick = shard.touch();
         shard.map.get_mut(key).map(|entry| {
             entry.tick = tick;
-            CacheHit {
-                plan: Arc::clone(&entry.plan),
-                result: entry.result.clone(),
-            }
+            Arc::clone(&entry.result)
         })
     }
 
-    /// Folds a worker's locally-tallied hit/miss counts into the shared
-    /// totals (two atomic adds, no locks).
+    /// Folds hit/miss counts into the shared totals (atomic adds, no
+    /// locks).
     fn add_counts(&self, hits: u64, misses: u64) {
         if hits > 0 {
             self.hits.fetch_add(hits, Ordering::Relaxed);
@@ -267,23 +243,16 @@ impl JoinCache {
         }
     }
 
-    /// Publishes a skeleton's plan and (optionally) its completed join
-    /// result, evicting the least-recently-used entry of the key's shard
-    /// when it is full. Publishing with `result: None` (a plan learned
-    /// from a budget-truncated join) never erases a result an earlier
-    /// publish stored.
-    pub fn publish(&self, key: SkeletonKey, plan: Arc<QueryPlan>, result: Option<Arc<JoinResult>>) {
+    /// Publishes a skeleton's completed join result, evicting the
+    /// least-recently-used entry of the key's shard when it is full.
+    pub fn publish(&self, key: SkeletonKey, result: Arc<JoinResult>) {
         if self.shard_capacity == 0 {
             return;
         }
         let mut shard = self.lock_shard(&key);
         let tick = shard.touch();
         if let Some(entry) = shard.map.get_mut(&key) {
-            entry.tick = tick;
-            entry.plan = plan;
-            if let Some(r) = result {
-                entry.result = Some(r);
-            }
+            *entry = Entry { tick, result };
             return;
         }
         if shard.map.len() >= self.shard_capacity {
@@ -296,10 +265,10 @@ impl JoinCache {
                 shard.map.remove(&oldest);
             }
         }
-        shard.map.insert(key, Entry { tick, plan, result });
+        shard.map.insert(key, Entry { tick, result });
     }
 
-    /// Total entries across shards (plan-only entries included).
+    /// Total entries across shards.
     pub fn len(&self) -> usize {
         self.locks
             .fetch_add(self.shards.len() as u64, Ordering::Relaxed);
@@ -324,8 +293,7 @@ impl JoinCache {
         self.hits.load(Ordering::Relaxed)
     }
 
-    /// Lookups that had to run the join (no entry, or a plan-only entry).
-    /// A disabled cache counts nothing.
+    /// Lookups that had to run the join. A disabled cache counts nothing.
     pub fn misses(&self) -> u64 {
         self.misses.load(Ordering::Relaxed)
     }
@@ -341,10 +309,10 @@ impl JoinCache {
         }
     }
 
-    /// Number of shard-mutex acquisitions so far (lookups, publishes,
-    /// worker-cache probes, and merges all count; `len` counts one per
-    /// shard). Warm per-worker lookups served from a
-    /// [`WorkerJoinCache`]'s private map must not move this.
+    /// Number of shard-mutex acquisitions so far (lookups, publishes and
+    /// worker-front probes all count; `len` counts one per shard). Warm
+    /// lookups served from a [`WorkerJoinCache`]'s private map must not
+    /// move this.
     pub fn lock_count(&self) -> u64 {
         self.locks.load(Ordering::Relaxed)
     }
@@ -352,41 +320,28 @@ impl JoinCache {
 
 /// One worker's private, lock-free front for a shared [`JoinCache`].
 ///
-/// Batch workers used to take a shard mutex (plus two atomic RMWs for
-/// the hit/miss tally) on every single query — the dominant shared-line
-/// traffic once the adjacency path went lock-free. A `WorkerJoinCache`
-/// moves that to the edges of the batch: lookups probe a private
-/// unsynchronized map first and fall through to the shared cache only on
-/// a local miss (seeding the private map from whatever the shared side
-/// already holds); publishes go to the private map, with freshly
-/// completed results written through to their shared shard right away
-/// (see [`publish`](Self::publish)) and plan-only entries queued; and
-/// [`merge`](Self::merge) — called at chunk boundaries and on drop —
-/// batches the queued entries into the shared shards and folds the
-/// locally-tallied hit/miss counts in with two atomic adds. In steady
-/// state a worker computes nothing, publishes nothing, and touches no
-/// shared line at all between merge points.
+/// Lookups probe a private unsynchronized map first and fall through to
+/// one shared-shard probe only on a local miss, copying a shared hit into
+/// the private map. Publishes write through: a completed result goes to
+/// its shared shard right away (one lock), so another worker about to run
+/// the same join finds it on its very next probe — which is what keeps a
+/// cold batch from computing every hot skeleton once *per worker*.
+/// Results are only ever computed on a miss, so a warm workload publishes
+/// nothing and touches no shared line at all.
 ///
-/// Semantics are identical to direct shared access because join results
-/// are pure functions of `(summary, skeleton)`: publishing late never
-/// changes what any entry holds, only when other workers can reuse it.
-/// The never-erase-a-result rule holds locally and through the merge
-/// (plan-only pending entries pass `None`, which [`JoinCache::publish`]
-/// ignores when a result is already stored), and a disabled shared cache
-/// (capacity 0) disables the worker cache the same way: lookups return
+/// Hit/miss counts are tallied locally and folded into the shared
+/// counters by [`flush`](Self::flush), which also runs on drop — the same
+/// scheme as [`EstimateCacheReader`](crate::EstimateCacheReader). The
+/// private map never holds more entries than the shared capacity: when a
+/// lookup or a publish would exceed it, the map is cleared first, so a
+/// long-lived worker cannot hoard unbounded entries. A disabled shared
+/// cache (capacity 0) disables the front the same way: lookups return
 /// nothing and no counter moves.
 pub struct WorkerJoinCache {
     shared: Arc<JoinCache>,
-    local: HashMap<SkeletonKey, LocalEntry, BuildHasherDefault<PrehashedHasher>>,
-    pending: Vec<(SkeletonKey, Arc<QueryPlan>, Option<Arc<JoinResult>>)>,
+    local: HashMap<SkeletonKey, Arc<JoinResult>, BuildHasherDefault<PrehashedHasher>>,
     hits: u64,
     misses: u64,
-}
-
-/// A private map entry: the skeleton's plan and (optionally) its result.
-struct LocalEntry {
-    plan: Arc<QueryPlan>,
-    result: Option<Arc<JoinResult>>,
 }
 
 impl WorkerJoinCache {
@@ -396,126 +351,68 @@ impl WorkerJoinCache {
         WorkerJoinCache {
             shared,
             local: HashMap::default(),
-            pending: Vec::new(),
             hits: 0,
             misses: 0,
         }
     }
 
-    /// The shared cache this worker front merges into.
+    /// The shared cache this worker front writes through to.
     pub fn shared(&self) -> &Arc<JoinCache> {
         &self.shared
     }
 
     /// Looks up a skeleton: private map first (no locks), then one
     /// shared-shard probe on a local miss. Hit/miss accounting matches
-    /// [`JoinCache::lookup`] — a hit iff a result is present — but is
-    /// tallied locally and folded into the shared counters at merge.
-    pub fn lookup(&mut self, key: &SkeletonKey) -> Option<CacheHit> {
+    /// [`JoinCache::lookup`] but is tallied locally until
+    /// [`flush`](Self::flush).
+    pub fn lookup(&mut self, key: &SkeletonKey) -> Option<Arc<JoinResult>> {
         if self.shared.capacity() == 0 {
             return None;
         }
-        if let Some(entry) = self.local.get(key) {
-            let hit = CacheHit {
-                plan: Arc::clone(&entry.plan),
-                result: entry.result.clone(),
-            };
-            match &hit.result {
-                Some(_) => self.hits += 1,
-                None => self.misses += 1,
-            }
-            return Some(hit);
+        if let Some(result) = self.local.get(key) {
+            self.hits += 1;
+            return Some(Arc::clone(result));
         }
-        let found = self.shared.peek(key);
-        match &found {
-            Some(hit) => {
-                if hit.result.is_some() {
-                    self.hits += 1;
-                } else {
-                    self.misses += 1;
-                }
-                self.local.insert(
-                    key.clone(),
-                    LocalEntry {
-                        plan: Arc::clone(&hit.plan),
-                        result: hit.result.clone(),
-                    },
-                );
-            }
-            None => self.misses += 1,
-        }
-        found
+        let Some(result) = self.shared.peek(key) else {
+            self.misses += 1;
+            return None;
+        };
+        self.hits += 1;
+        self.remember(key.clone(), Arc::clone(&result));
+        Some(result)
     }
 
-    /// Publishes into the private map, and routes the entry to the shared
-    /// cache by kind:
-    ///
-    /// * a **completed result** writes through immediately (one shard
-    ///   lock) — another worker about to run the same join finds it on
-    ///   its very next probe instead of after this worker's chunk ends,
-    ///   which is what keeps a cold batch from computing every hot
-    ///   skeleton once *per worker*. Results are only ever computed on a
-    ///   miss, so a warm workload writes nothing through and stays
-    ///   lock-free;
-    /// * a **plan-only entry** (budget-truncated join) is queued for the
-    ///   next lazy merge — sharing it early saves tag resolution, not a
-    ///   fixpoint, which is not worth a lock in the middle of a chunk.
-    ///
-    /// A `result: None` never erases a locally-stored result, mirroring
-    /// the shared rule. When the private map outgrows the shared capacity
-    /// it is merged and cleared, so a long-lived estimator cannot hoard
-    /// unbounded entries.
-    pub fn publish(
-        &mut self,
-        key: SkeletonKey,
-        plan: Arc<QueryPlan>,
-        result: Option<Arc<JoinResult>>,
-    ) {
+    /// Publishes a completed join result: written through to the shared
+    /// cache, and kept in the private map.
+    pub fn publish(&mut self, key: SkeletonKey, result: Arc<JoinResult>) {
         if self.shared.capacity() == 0 {
             return;
         }
-        match &result {
-            Some(r) => self
-                .shared
-                .publish(key.clone(), Arc::clone(&plan), Some(Arc::clone(r))),
-            None => self.pending.push((key.clone(), Arc::clone(&plan), None)),
-        }
-        match self.local.get_mut(&key) {
-            Some(entry) => {
-                entry.plan = plan;
-                if let Some(r) = result {
-                    entry.result = Some(r);
-                }
-            }
-            None => {
-                self.local.insert(key, LocalEntry { plan, result });
-            }
-        }
-        if self.local.len() > self.shared.capacity() {
-            self.merge();
-            self.local.clear();
-        }
+        self.shared.publish(key.clone(), Arc::clone(&result));
+        self.remember(key, result);
     }
 
-    /// Flushes pending publications into the shared shards and folds the
-    /// local hit/miss tallies into the shared counters. Cheap when there
-    /// is nothing to do: no pending entries means no locks are taken
-    /// (the tallies flush with plain atomic adds).
-    pub fn merge(&mut self) {
-        for (key, plan, result) in self.pending.drain(..) {
-            self.shared.publish(key, plan, result);
+    /// Stores an entry in the private map, clearing the map first when it
+    /// is already at the shared capacity.
+    fn remember(&mut self, key: SkeletonKey, result: Arc<JoinResult>) {
+        if self.local.len() >= self.shared.capacity() {
+            self.local.clear();
         }
-        if self.hits > 0 || self.misses > 0 {
-            self.shared.add_counts(self.hits, self.misses);
-            self.hits = 0;
-            self.misses = 0;
-        }
+        self.local.insert(key, result);
+    }
+
+    /// Folds the local hit/miss tallies into the shared counters (two
+    /// atomic adds, no locks; a no-op when there is nothing to fold).
+    pub fn flush(&mut self) {
+        self.shared.add_counts(self.hits, self.misses);
+        self.hits = 0;
+        self.misses = 0;
     }
 }
 
 impl Drop for WorkerJoinCache {
     fn drop(&mut self) {
-        self.merge();
+        self.flush();
     }
 }
 
@@ -523,7 +420,6 @@ impl std::fmt::Debug for WorkerJoinCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("WorkerJoinCache")
             .field("local_len", &self.local.len())
-            .field("pending", &self.pending.len())
             .field("hits", &self.hits)
             .field("misses", &self.misses)
             .finish()
@@ -534,7 +430,6 @@ impl std::fmt::Debug for WorkerJoinCache {
 mod tests {
     use super::*;
     use std::hash::{Hash, Hasher};
-    use xpe_synopsis::{Summary, SummaryConfig};
     use xpe_xpath::parse_query;
 
     fn result_with_marker(marker: f64) -> Arc<JoinResult> {
@@ -543,15 +438,8 @@ mod tests {
         })
     }
 
-    fn summary() -> Summary {
-        Summary::build(
-            &xpe_xml::fixtures::paper_figure1(),
-            SummaryConfig::default(),
-        )
-    }
-
-    fn plan_for(summary: &Summary, q: &str) -> Arc<QueryPlan> {
-        Arc::new(QueryPlan::build(summary, &parse_query(q).unwrap()))
+    fn key(q: &str) -> SkeletonKey {
+        skeleton_key(&parse_query(q).unwrap())
     }
 
     #[test]
@@ -576,7 +464,7 @@ mod tests {
 
     #[test]
     fn key_hashes_through_its_precomputed_value() {
-        let key = skeleton_key(&parse_query("//A[/C]/B").unwrap());
+        let key = key("//A[/C]/B");
         let mut h = PrehashedHasher::default();
         key.hash(&mut h);
         assert_eq!(h.finish(), key.hash64());
@@ -584,76 +472,29 @@ mod tests {
 
     #[test]
     fn hit_only_for_structurally_identical_skeletons() {
-        let s = summary();
         let cache = JoinCache::with_capacity(64);
-        let plain = parse_query("//A[/C]/B").unwrap();
-        let ordered = parse_query("//A[/C/folls::$B]").unwrap();
-        let different = parse_query("//A[/D]/B").unwrap();
-
-        assert!(cache.lookup(&skeleton_key(&plain)).is_none());
-        cache.publish(
-            skeleton_key(&plain),
-            plan_for(&s, "//A[/C]/B"),
-            Some(result_with_marker(7.0)),
-        );
-        // Same structure, different order constraint: hit, and the plan
-        // rides along.
-        let hit = cache.lookup(&skeleton_key(&ordered)).expect("skeleton hit");
-        assert_eq!(hit.result.expect("published result").lists[0][0].1, 7.0);
-        assert_eq!(hit.plan.len(), 3);
+        assert!(cache.lookup(&key("//A[/C]/B")).is_none());
+        cache.publish(key("//A[/C]/B"), result_with_marker(7.0));
+        // Same structure, different order constraint: hit.
+        let hit = cache
+            .lookup(&key("//A[/C/folls::$B]"))
+            .expect("skeleton hit");
+        assert_eq!(hit.lists[0][0].1, 7.0);
         // Different structure: miss.
-        assert!(cache.lookup(&skeleton_key(&different)).is_none());
+        assert!(cache.lookup(&key("//A[/D]/B")).is_none());
         assert_eq!(cache.hits(), 1);
         assert_eq!(cache.misses(), 2);
         assert!((cache.hit_rate() - 1.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]
-    fn plan_only_entries_count_as_misses_and_keep_results_on_republish() {
-        let s = summary();
-        let cache = JoinCache::with_capacity(64);
-        let key = skeleton_key(&parse_query("//A//C").unwrap());
-        let plan = plan_for(&s, "//A//C");
-
-        // A truncated join publishes its plan without a result.
-        cache.publish(key.clone(), Arc::clone(&plan), None);
-        let hit = cache.lookup(&key).expect("plan-only entry");
-        assert!(hit.result.is_none());
-        assert_eq!(hit.plan.len(), 2);
-        assert_eq!((cache.hits(), cache.misses()), (0, 1), "plan-only = miss");
-
-        // A completed join fills the result in.
-        cache.publish(
-            key.clone(),
-            Arc::clone(&plan),
-            Some(result_with_marker(2.0)),
-        );
-        assert!(cache.lookup(&key).unwrap().result.is_some());
-        // A later plan-only publish (another truncated join racing) must
-        // not erase it.
-        cache.publish(key.clone(), plan, None);
-        assert!(cache.lookup(&key).unwrap().result.is_some());
-        assert_eq!(cache.len(), 1);
-    }
-
-    #[test]
     fn lru_evicts_the_least_recently_used_entry() {
-        let s = summary();
         // Single-entry shards make eviction order observable regardless of
         // which shard each key hashes to.
         let cache = JoinCache::with_capacity(SHARDS);
-        let a = skeleton_key(&parse_query("//A").unwrap());
-        let b = skeleton_key(&parse_query("//B").unwrap());
-        cache.publish(
-            a.clone(),
-            plan_for(&s, "//A"),
-            Some(result_with_marker(1.0)),
-        );
-        cache.publish(
-            b.clone(),
-            plan_for(&s, "//B"),
-            Some(result_with_marker(2.0)),
-        );
+        let (a, b) = (key("//A"), key("//B"));
+        cache.publish(a.clone(), result_with_marker(1.0));
+        cache.publish(b.clone(), result_with_marker(2.0));
         if std::ptr::eq(cache.shard(&a), cache.shard(&b)) {
             // Same shard: `b` evicted `a`.
             assert!(cache.lookup(&a).is_none());
@@ -666,14 +507,9 @@ mod tests {
 
     #[test]
     fn zero_capacity_disables_caching_and_counts_nothing() {
-        let s = summary();
         let cache = JoinCache::with_capacity(0);
-        let key = skeleton_key(&parse_query("//A/B").unwrap());
-        cache.publish(
-            key.clone(),
-            plan_for(&s, "//A/B"),
-            Some(result_with_marker(1.0)),
-        );
+        let key = key("//A/B");
+        cache.publish(key.clone(), result_with_marker(1.0));
         assert!(cache.lookup(&key).is_none());
         assert_eq!(cache.len(), 0);
         assert_eq!(cache.capacity(), 0);
@@ -686,20 +522,55 @@ mod tests {
 
     #[test]
     fn republishing_an_existing_key_does_not_evict_others() {
-        let s = summary();
         let cache = JoinCache::with_capacity(SHARDS);
-        let a = skeleton_key(&parse_query("//A").unwrap());
-        cache.publish(
-            a.clone(),
-            plan_for(&s, "//A"),
-            Some(result_with_marker(1.0)),
-        );
-        cache.publish(
-            a.clone(),
-            plan_for(&s, "//A"),
-            Some(result_with_marker(3.0)),
-        );
-        assert_eq!(cache.lookup(&a).unwrap().result.unwrap().lists[0][0].1, 3.0);
+        let a = key("//A");
+        cache.publish(a.clone(), result_with_marker(1.0));
+        cache.publish(a.clone(), result_with_marker(3.0));
+        assert_eq!(cache.lookup(&a).unwrap().lists[0][0].1, 3.0);
         assert_eq!(cache.len(), 1);
+    }
+
+    /// A publish is visible to every other front at once, and each
+    /// front's tallies reach the shared counters at flush or drop.
+    #[test]
+    fn worker_fronts_write_through_and_fold_tallies_on_flush_and_drop() {
+        let shared = Arc::new(JoinCache::with_capacity(64));
+        let mut writer = WorkerJoinCache::new(Arc::clone(&shared));
+        let mut reader = WorkerJoinCache::new(Arc::clone(&shared));
+        let k = key("//A//C");
+        assert!(writer.lookup(&k).is_none());
+        writer.publish(k.clone(), result_with_marker(5.0));
+        assert_eq!(
+            reader.lookup(&k).expect("written through").lists[0][0].1,
+            5.0
+        );
+        // Served privately now: no shard lock.
+        let locks = shared.lock_count();
+        assert!(reader.lookup(&k).is_some());
+        assert_eq!(shared.lock_count(), locks);
+        assert_eq!(
+            (shared.hits(), shared.misses()),
+            (0, 0),
+            "tallies are local"
+        );
+        writer.flush();
+        assert_eq!((shared.hits(), shared.misses()), (0, 1));
+        drop(reader);
+        assert_eq!((shared.hits(), shared.misses()), (2, 1));
+    }
+
+    /// A front that only reads still respects the shared capacity: every
+    /// shared hit it copies into its private map counts against the
+    /// bound, so a long-lived read-only worker cannot grow without limit.
+    #[test]
+    fn read_only_front_stays_within_the_shared_capacity() {
+        let shared = Arc::new(JoinCache::with_capacity(8));
+        let mut front = WorkerJoinCache::new(Arc::clone(&shared));
+        for i in 0..100 {
+            let k = key(&format!("//T{i}"));
+            shared.publish(k.clone(), result_with_marker(i as f64));
+            assert!(front.lookup(&k).is_some(), "key {i} was just published");
+            assert!(front.local.len() <= 8, "after {i}: {}", front.local.len());
+        }
     }
 }

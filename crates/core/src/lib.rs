@@ -63,7 +63,7 @@ pub use join::{
     path_join, path_join_bitmap, path_join_bitmap_planned, JoinKernel, JoinMemo, JoinPhaseStats,
     JoinResult, JoinScratch,
 };
-pub use joincache::{skeleton_key, CacheHit, JoinCache, SkeletonKey, WorkerJoinCache};
+pub use joincache::{skeleton_key, JoinCache, SkeletonKey, WorkerJoinCache};
 pub use metrics::{mean_relative_error, relative_error, ErrorStats};
 pub use planner::{PathCardinalities, PlanEdge, PredicateRank, QueryPlan};
 pub use serve::{

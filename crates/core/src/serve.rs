@@ -10,8 +10,9 @@
 //! 2. **Budget** ([`Budget`]/[`BudgetState`]) — a wall-clock deadline and
 //!    a fixpoint-edge cap polled cooperatively inside the worklist join
 //!    loop; exhaustion degrades the answer instead of hanging the worker.
-//! 3. **Isolation** (`xpe_par::par_map_init_chunked_isolated`) — a panic
-//!    in one batch item becomes a `Degraded` slot, not a dead batch.
+//! 3. **Isolation** (`xpe_par::par_map_isolated`, the one batch worker
+//!    loop) — a panic in one batch item becomes a `Degraded` slot, not a
+//!    dead batch.
 //! 4. **Integrity** (`xpe_synopsis::persist`) — corrupt summaries are
 //!    rejected at load with a checksum error, so the rungs above only
 //!    ever run against a trusted synopsis.

@@ -260,13 +260,13 @@ proptest! {
     }
 }
 
-/// Asserts the lazy-merge seam directly: several estimators sharing one
-/// [`JoinCache`] through their private worker fronts, with merges forced
-/// at adversarial points (after every single query, on another worker
-/// than the one that ran it, and finally via drop), reproduce a bare
-/// cache-free estimator bit for bit — and a fresh estimator served
-/// purely from the merged shared cache does too.
-fn check_lazy_merge(summary: &Summary, queries: &[xpe_xpath::Query]) {
+/// Asserts the shared join cache behind per-worker fronts directly:
+/// several estimators sharing one [`JoinCache`], with `flush_caches`
+/// forced at adversarial points (after every single query, on another
+/// worker than the one that ran it, and finally via drop), reproduce a
+/// bare cache-free estimator bit for bit — and a fresh estimator served
+/// purely from the shared cache does too.
+fn check_forced_flushes(summary: &Summary, queries: &[xpe_xpath::Query]) {
     for kernel in JoinKernel::ALL {
         let bare: Vec<u64> = queries
             .iter()
@@ -286,7 +286,7 @@ fn check_lazy_merge(summary: &Summary, queries: &[xpe_xpath::Query]) {
             };
             let ests: Vec<Estimator> = (0..workers).map(|_| make()).collect();
             // Round-robin the queries across workers; after each query,
-            // flush a *different* worker, so merge points interleave
+            // flush a *different* worker, so flush points interleave
             // with lookups in every order the engine could produce.
             for pass in 0..2 {
                 for (i, (query, &want)) in queries.iter().zip(&bare).enumerate() {
@@ -295,29 +295,29 @@ fn check_lazy_merge(summary: &Summary, queries: &[xpe_xpath::Query]) {
                         got, want,
                         "kernel {kernel:?}, workers {workers}, pass {pass}, {query}"
                     );
-                    ests[(i + 1) % workers].flush_join_cache();
+                    ests[(i + 1) % workers].flush_caches();
                 }
             }
-            // Drop-merge whatever is still pending, then serve a fresh
-            // estimator entirely from the merged shared cache.
+            // Drop-flush every front, then serve a fresh estimator
+            // entirely from the shared cache.
             drop(ests);
             let fresh = make();
             for (query, &want) in queries.iter().zip(&bare) {
                 assert_eq!(
                     fresh.estimate(query).to_bits(),
                     want,
-                    "post-merge fresh estimator, kernel {kernel:?}, workers {workers}, {query}"
+                    "fresh estimator on the shared cache, kernel {kernel:?}, workers {workers}, {query}"
                 );
             }
         }
     }
 }
 
-/// Deterministic lazy-merge coverage on the wide (> 64-word) interner.
+/// Deterministic forced-flush coverage on the wide (> 64-word) interner.
 #[test]
-fn lazy_merge_is_bit_identical_on_wide_interner() {
+fn forced_flushes_are_bit_identical_on_wide_interner() {
     let (summary, queries) = wide_scenario();
-    check_lazy_merge(&summary, &queries);
+    check_forced_flushes(&summary, &queries);
 }
 
 proptest! {
@@ -332,12 +332,12 @@ proptest! {
         check_warm_paths(&summary, &queries);
     }
 
-    /// Worker-private join caches with lazy merge are pure speed: any
-    /// interleaving of queries and merges across 1/2/4 workers, for
+    /// Worker-private join-cache fronts are pure speed: any
+    /// interleaving of queries and flushes across 1/2/4 workers, for
     /// every kernel, is bit-identical to the cache-free estimator.
     #[test]
-    fn lazily_merged_worker_caches_are_bit_identical(seed in 0u64..1_000_000) {
+    fn flushed_worker_caches_are_bit_identical(seed in 0u64..1_000_000) {
         let (summary, queries) = scenario(seed);
-        check_lazy_merge(&summary, &queries);
+        check_forced_flushes(&summary, &queries);
     }
 }

@@ -14,20 +14,23 @@
 //! cost — p-histogram rows vary by orders of magnitude between tags. The
 //! chunk size adapts to the input: small enough for stealing to balance
 //! skew, large enough that cheap items (sub-microsecond estimates) are
-//! not dominated by `fetch_add` contention. A panicking item panics the
-//! calling thread after the scope joins, like rayon.
+//! not dominated by `fetch_add` contention. One scoped worker loop,
+//! [`par_map_isolated`], carries per-worker state and catches a panicking
+//! item into its own slot; [`par_map_indexed`] is the stateless map on
+//! top of it, re-raising the first panic once the map has run, like
+//! rayon.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::collections::VecDeque;
 use std::num::NonZeroUsize;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 /// A panic caught while mapping one item in
-/// [`par_map_init_chunked_isolated`]: the item's index slot carries this
+/// [`par_map_isolated`]: the item's index slot carries this
 /// instead of a result, and the rest of the batch completes normally.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ItemPanic {
@@ -43,6 +46,14 @@ impl std::fmt::Display for ItemPanic {
 }
 
 impl std::error::Error for ItemPanic {}
+
+impl ItemPanic {
+    /// Re-raises the caught panic on the calling thread, with its message
+    /// as the payload.
+    pub fn resume(self) -> ! {
+        resume_unwind(Box::new(self.message))
+    }
+}
 
 /// Renders a caught panic payload as text.
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
@@ -82,158 +93,36 @@ pub fn resolve_threads(requested: usize) -> usize {
 /// there are fewer than two items; otherwise fans out over
 /// `min(threads, n)` scoped workers. `f` must be pure for the parallel
 /// and serial paths to agree (every caller in this workspace satisfies
-/// that; the equivalence tests enforce it end to end).
+/// that; the equivalence tests enforce it end to end). A panicking item
+/// panics the calling thread once the whole map has run, like rayon: the
+/// first panic in index order is re-raised with its message.
 pub fn par_map_indexed<R, F>(threads: usize, n: usize, f: F) -> Vec<R>
 where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
-    par_map_init(threads, n, || (), |(), i| f(i))
+    par_map_isolated(threads, n, || (), |(), i| f(i))
+        .into_iter()
+        .map(|r| r.unwrap_or_else(|p| p.resume()))
+        .collect()
 }
 
-/// [`par_map_indexed`] with per-worker state: each worker (or the calling
-/// thread, when serial) builds one `S` via `init` and threads it through
-/// every item it processes. This is how the batch estimator gives each
-/// worker a single reusable scratch arena instead of one per item. `S`
-/// never crosses threads, so it needs no `Send`/`Sync` bounds.
-pub fn par_map_init<S, R, I, F>(threads: usize, n: usize, init: I, f: F) -> Vec<R>
-where
-    R: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize) -> R + Sync,
-{
-    par_map_init_chunked(threads, n, 0, init, f)
-}
-
-/// [`par_map_init`] with an explicit dispatch chunk size: workers claim
-/// `chunk` consecutive indices per `fetch_add` instead of one. `0` picks
-/// automatically — roughly 16 steals per worker, clamped to `1..=64` —
-/// which is the right grain for workloads of cheap uniform items; pass an
-/// explicit size for workloads with known extreme skew. Results are in
-/// index order for any chunking, so every setting is bit-identical to the
-/// serial loop.
-pub fn par_map_init_chunked<S, R, I, F>(
-    threads: usize,
-    n: usize,
-    chunk: usize,
-    init: I,
-    f: F,
-) -> Vec<R>
-where
-    R: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize) -> R + Sync,
-{
-    let workers = resolve_threads(threads).min(n);
-    if workers <= 1 {
-        let mut state = init();
-        return (0..n).map(|i| f(&mut state, i)).collect();
-    }
-    let chunk = match chunk {
-        0 => (n / (workers * 16)).clamp(1, 64),
-        c => c,
-    };
-
-    let next = AtomicUsize::new(0);
-    let done = Mutex::new(Vec::with_capacity(n));
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                let mut state = init();
-                let mut local: Vec<(usize, R)> = Vec::new();
-                loop {
-                    let start = next.fetch_add(chunk, Ordering::Relaxed);
-                    if start >= n {
-                        break;
-                    }
-                    for i in start..(start + chunk).min(n) {
-                        local.push((i, f(&mut state, i)));
-                    }
-                }
-                lock_ignore_poison(&done).extend(local);
-            });
-        }
-    });
-
-    let mut tagged = done.into_inner().unwrap_or_else(PoisonError::into_inner);
-    debug_assert_eq!(tagged.len(), n);
-    tagged.sort_unstable_by_key(|&(i, _)| i);
-    tagged.into_iter().map(|(_, r)| r).collect()
-}
-
-/// [`par_map_init_chunked`] with a per-chunk `flush` hook: after a worker
-/// finishes each claimed chunk (and once more before it exits), `flush`
-/// runs against its state. This is the lazy-merge seam for per-worker
-/// caches — workers batch their writes privately and `flush` publishes
-/// them to shared structures at chunk boundaries, so the shared lock is
-/// taken once per chunk instead of once per item. On the serial path the
-/// whole range is one chunk: `flush` runs once, after the last item.
+/// Maps `f` over `0..n` with per-worker state and **panic isolation**,
+/// returning results in index order.
 ///
-/// `flush` must not affect `f`'s *results* (publishing memoized values
-/// earlier or later may change speed, never outputs) for the parallel and
-/// serial paths to stay bit-identical.
-pub fn par_map_init_flushed<S, R, I, F, X>(
-    threads: usize,
-    n: usize,
-    chunk: usize,
-    init: I,
-    f: F,
-    flush: X,
-) -> Vec<R>
-where
-    R: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize) -> R + Sync,
-    X: Fn(&mut S) + Sync,
-{
-    let workers = resolve_threads(threads).min(n);
-    if workers <= 1 {
-        let mut state = init();
-        let out: Vec<R> = (0..n).map(|i| f(&mut state, i)).collect();
-        flush(&mut state);
-        return out;
-    }
-    let chunk = match chunk {
-        0 => (n / (workers * 16)).clamp(1, 64),
-        c => c,
-    };
-
-    let next = AtomicUsize::new(0);
-    let done = Mutex::new(Vec::with_capacity(n));
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                let mut state = init();
-                let mut local: Vec<(usize, R)> = Vec::new();
-                loop {
-                    let start = next.fetch_add(chunk, Ordering::Relaxed);
-                    if start >= n {
-                        break;
-                    }
-                    for i in start..(start + chunk).min(n) {
-                        local.push((i, f(&mut state, i)));
-                    }
-                    flush(&mut state);
-                }
-                flush(&mut state);
-                lock_ignore_poison(&done).extend(local);
-            });
-        }
-    });
-
-    let mut tagged = done.into_inner().unwrap_or_else(PoisonError::into_inner);
-    debug_assert_eq!(tagged.len(), n);
-    tagged.sort_unstable_by_key(|&(i, _)| i);
-    tagged.into_iter().map(|(_, r)| r).collect()
-}
-
-/// [`par_map_init_chunked`] with **panic isolation**: each item's `f`
-/// call runs under [`catch_unwind`], so a panicking item yields
-/// `Err(ItemPanic)` in its slot while every other item still completes
-/// and returns in order. This is the serving-layer primitive: one
-/// poisoned query must cost one answer, not the whole batch.
+/// Each worker (or the calling thread, when serial) builds one `S` via
+/// `init` and threads it through every item it processes — this is how
+/// the batch estimator gives each worker one reusable estimator instead
+/// of one per item. `S` never crosses threads, so it needs no
+/// `Send`/`Sync` bounds, and it is dropped on the thread that built it
+/// before the call returns, so anything its `Drop` publishes is visible
+/// to the caller.
 ///
-/// Two containment rules keep the isolation sound:
+/// Each item's `f` call runs under [`catch_unwind`], so a panicking item
+/// yields `Err(ItemPanic)` in its slot while every other item still
+/// completes and returns in order. This is the serving-layer primitive:
+/// one poisoned query must cost one answer, not the whole batch. Two
+/// containment rules keep the isolation sound:
 ///
 /// * a worker whose item panicked **discards its per-worker state** and
 ///   rebuilds it with `init` before the next item — `f` holds `&mut S`
@@ -245,12 +134,16 @@ where
 ///
 /// `init` itself is *not* isolated: it builds caches/scratch from trusted
 /// state, and a panic there is a programming error that should propagate.
-/// On the non-panicking path, results are bit-identical to
-/// [`par_map_init_chunked`] for any thread count and chunk size.
-pub fn par_map_init_chunked_isolated<S, R, I, F>(
+///
+/// Workers pull index ranges from a shared atomic counter, roughly 16
+/// steals per worker, clamped to `1..=64` items each: small enough for
+/// stealing to balance skewed items, large enough that sub-microsecond
+/// items are not dominated by `fetch_add` traffic. Results are in index
+/// order for any schedule, so every thread count is bit-identical to the
+/// serial loop.
+pub fn par_map_isolated<S, R, I, F>(
     threads: usize,
     n: usize,
-    chunk: usize,
     init: I,
     f: F,
 ) -> Vec<Result<R, ItemPanic>>
@@ -278,10 +171,7 @@ where
         let mut state = None;
         return (0..n).map(|i| step(&mut state, i)).collect();
     }
-    let chunk = match chunk {
-        0 => (n / (workers * 16)).clamp(1, 64),
-        c => c,
-    };
+    let chunk = (n / (workers * 16)).clamp(1, 64);
 
     let next = AtomicUsize::new(0);
     let done = Mutex::new(Vec::with_capacity(n));
@@ -308,17 +198,6 @@ where
     debug_assert_eq!(tagged.len(), n);
     tagged.sort_unstable_by_key(|&(i, _)| i);
     tagged.into_iter().map(|(_, r)| r).collect()
-}
-
-/// Maps `f` over a slice, preserving order; the parallel analogue of
-/// `items.iter().map(f).collect()`.
-pub fn par_map_slice<'a, T, R, F>(threads: usize, items: &'a [T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&'a T) -> R + Sync,
-{
-    par_map_indexed(threads, items.len(), |i| f(&items[i]))
 }
 
 /// Why [`BoundedQueue::try_push`] refused an item; the item comes back so
@@ -465,13 +344,6 @@ mod tests {
     }
 
     #[test]
-    fn slice_variant_preserves_order() {
-        let words = ["a", "bb", "ccc", "dddd"];
-        let lens = par_map_slice(3, &words, |w| w.len());
-        assert_eq!(lens, vec![1, 2, 3, 4]);
-    }
-
-    #[test]
     fn resolve_threads_semantics() {
         assert!(resolve_threads(0) >= 1);
         assert_eq!(resolve_threads(1), 1);
@@ -494,108 +366,53 @@ mod tests {
 
     #[test]
     fn per_worker_state_is_reused_within_a_worker() {
-        // Each worker counts how many items it processed; the counts must
-        // sum to n, proving state persists across items instead of being
-        // rebuilt per item.
+        // Each worker counts how many items it processed and adds the
+        // count to a shared tally when its state drops. The counts must
+        // sum to n by the time the call returns: state persists across
+        // items instead of being rebuilt per item, and every worker's
+        // state is dropped (its tally folded) before the map returns.
         use std::sync::atomic::{AtomicUsize, Ordering};
-        let total = AtomicUsize::new(0);
         struct Counter<'a>(usize, &'a AtomicUsize);
         impl Drop for Counter<'_> {
             fn drop(&mut self) {
                 self.1.fetch_add(self.0, Ordering::Relaxed);
             }
         }
-        let out = par_map_init(
-            3,
-            50,
-            || Counter(0, &total),
-            |c, i| {
-                c.0 += 1;
-                i * 2
-            },
-        );
-        assert_eq!(out, (0..50).map(|i| i * 2).collect::<Vec<_>>());
-        assert_eq!(total.load(Ordering::Relaxed), 50);
-    }
-
-    #[test]
-    fn chunked_dispatch_matches_serial_for_any_chunk() {
-        let serial: Vec<u64> = (0..97).map(|i| (i as u64).wrapping_mul(131)).collect();
-        for chunk in [0, 1, 2, 7, 64, 200] {
-            for threads in [2, 3, 8] {
-                let par = par_map_init_chunked(
-                    threads,
-                    97,
-                    chunk,
-                    || (),
-                    |(), i| (i as u64).wrapping_mul(131),
-                );
-                assert_eq!(par, serial, "chunk={chunk} threads={threads}");
-            }
+        for threads in [1, 3] {
+            let total = AtomicUsize::new(0);
+            let out = par_map_isolated(
+                threads,
+                50,
+                || Counter(0, &total),
+                |c, i| {
+                    c.0 += 1;
+                    i * 2
+                },
+            );
+            let vals: Vec<usize> = out.into_iter().map(|r| r.unwrap()).collect();
+            assert_eq!(vals, (0..50).map(|i| i * 2).collect::<Vec<_>>());
+            assert_eq!(total.load(Ordering::Relaxed), 50, "threads={threads}");
         }
     }
 
     #[test]
-    fn chunked_dispatch_covers_every_index_exactly_once() {
+    fn every_index_runs_exactly_once() {
+        // Small and large inputs take the smallest and the largest
+        // dispatch chunk.
         use std::sync::atomic::AtomicUsize;
-        let counts: Vec<AtomicUsize> = (0..53).map(|_| AtomicUsize::new(0)).collect();
-        par_map_init_chunked(
-            4,
-            53,
-            5,
-            || (),
-            |(), i| counts[i].fetch_add(1, Ordering::Relaxed),
-        );
-        for (i, c) in counts.iter().enumerate() {
-            assert_eq!(c.load(Ordering::Relaxed), 1, "index {i}");
-        }
-    }
-
-    #[test]
-    fn flushed_dispatch_matches_serial_and_flushes_every_item() {
-        use std::sync::atomic::AtomicUsize;
-        let serial: Vec<u64> = (0..91).map(|i| (i as u64).wrapping_mul(17)).collect();
-        for threads in [1, 2, 4] {
-            for chunk in [0, 1, 5] {
-                // State buffers items since the last flush; flush drains
-                // into the shared tally. Everything processed must be
-                // flushed by the time the call returns.
-                let flushed = AtomicUsize::new(0);
-                let par = par_map_init_flushed(
-                    threads,
-                    91,
-                    chunk,
-                    || 0usize,
-                    |buffered, i| {
-                        *buffered += 1;
-                        (i as u64).wrapping_mul(17)
-                    },
-                    |buffered| {
-                        flushed.fetch_add(*buffered, Ordering::Relaxed);
-                        *buffered = 0;
-                    },
-                );
-                assert_eq!(par, serial, "threads={threads} chunk={chunk}");
-                assert_eq!(
-                    flushed.load(Ordering::Relaxed),
-                    91,
-                    "threads={threads} chunk={chunk}: every item flushed"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn worker_panic_propagates() {
-        let res = std::panic::catch_unwind(|| {
-            par_map_indexed(4, 16, |i| {
-                if i == 11 {
-                    panic!("boom");
+        for n in [53, 5000] {
+            for threads in [2, 4] {
+                let counts: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+                par_map_indexed(threads, n, |i| counts[i].fetch_add(1, Ordering::Relaxed));
+                for (i, c) in counts.iter().enumerate() {
+                    assert_eq!(
+                        c.load(Ordering::Relaxed),
+                        1,
+                        "n={n} threads={threads} index {i}"
+                    );
                 }
-                i
-            })
-        });
-        assert!(res.is_err());
+            }
+        }
     }
 
     /// A quiet panic hook for isolation tests: the default hook prints a
@@ -609,18 +426,36 @@ mod tests {
     }
 
     #[test]
+    fn worker_panic_propagates() {
+        hushed(|| {
+            for threads in [1, 4] {
+                let res = std::panic::catch_unwind(|| {
+                    par_map_indexed(threads, 16, |i| {
+                        if i == 11 || i == 13 {
+                            panic!("boom {i}");
+                        }
+                        i
+                    })
+                });
+                let payload = res.expect_err("the panic is re-raised");
+                assert_eq!(
+                    payload.downcast_ref::<String>().map(String::as_str),
+                    Some("boom 11"),
+                    "threads={threads}"
+                );
+            }
+        });
+    }
+
+    #[test]
     fn isolated_map_matches_serial_when_nothing_panics() {
-        let serial: Vec<u64> = (0..103).map(|i| (i as u64).wrapping_mul(31)).collect();
-        for threads in [0, 1, 2, 8] {
-            let out = par_map_init_chunked_isolated(
-                threads,
-                103,
-                0,
-                || (),
-                |(), i| (i as u64).wrapping_mul(31),
-            );
-            let vals: Vec<u64> = out.into_iter().map(|r| r.unwrap()).collect();
-            assert_eq!(vals, serial, "threads={threads}");
+        for n in [3, 103, 5000] {
+            let serial: Vec<u64> = (0..n).map(|i| (i as u64).wrapping_mul(31)).collect();
+            for threads in [0, 1, 2, 8] {
+                let out = par_map_isolated(threads, n, || (), |(), i| (i as u64).wrapping_mul(31));
+                let vals: Vec<u64> = out.into_iter().map(|r| r.unwrap()).collect();
+                assert_eq!(vals, serial, "n={n} threads={threads}");
+            }
         }
     }
 
@@ -628,10 +463,9 @@ mod tests {
     fn one_poisoned_item_yields_one_error_slot() {
         hushed(|| {
             for threads in [1, 4] {
-                let out = par_map_init_chunked_isolated(
+                let out = par_map_isolated(
                     threads,
                     40,
-                    3,
                     || (),
                     |(), i| {
                         if i == 17 {
@@ -656,13 +490,8 @@ mod tests {
     #[test]
     fn every_item_panicking_still_returns_full_batch() {
         hushed(|| {
-            let out = par_map_init_chunked_isolated::<(), usize, _, _>(
-                4,
-                25,
-                0,
-                || (),
-                |(), _| panic!("all poisoned"),
-            );
+            let out =
+                par_map_isolated::<(), usize, _, _>(4, 25, || (), |(), _| panic!("all poisoned"));
             assert_eq!(out.len(), 25);
             assert!(out.iter().all(|r| r.is_err()));
         });
@@ -676,10 +505,9 @@ mod tests {
         hushed(|| {
             // Serial (1 thread) so one worker handles every item: state
             // counts items since (re)init; item 5 corrupts it and panics.
-            let out = par_map_init_chunked_isolated(
+            let out = par_map_isolated(
                 1,
                 10,
-                1,
                 || 0usize,
                 |seen, i| {
                     *seen += 1000; // corrupt first…
@@ -705,13 +533,8 @@ mod tests {
     #[test]
     fn non_string_panic_payloads_are_described() {
         hushed(|| {
-            let out = par_map_init_chunked_isolated::<(), (), _, _>(
-                1,
-                1,
-                1,
-                || (),
-                |(), _| std::panic::panic_any(42u32),
-            );
+            let out =
+                par_map_isolated::<(), (), _, _>(1, 1, || (), |(), _| std::panic::panic_any(42u32));
             assert_eq!(
                 out[0].as_ref().unwrap_err().message,
                 "non-string panic payload"

@@ -5,13 +5,21 @@
 //! from the **left** (1-based, matching the paper's figures) corresponds to
 //! the root-to-leaf path with encoding *i*.
 
+use std::borrow::Borrow;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// A fixed-width bitset representing one path id value.
 ///
 /// All path ids of one document share the same width; arithmetic between
 /// differently sized ids is a logic error and panics in debug builds.
-#[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
+///
+/// `Hash` covers the storage words only and `Borrow<[u64]>` exposes them,
+/// so a map keyed by ids of one width can be probed with a bare word
+/// slice (the labelers intern straight from their word arenas). Equal ids
+/// of one width have equal words, which is all the `Borrow` contract asks
+/// of a map whose keys share a width.
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct PathIdBits {
     /// Number of meaningful bits.
     nbits: u32,
@@ -36,6 +44,39 @@ impl PathIdBits {
         }
     }
 
+    /// An id of width `nbits` over `words`, laid out as [`words`](Self::words)
+    /// returns them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `words` is not `⌈nbits / 64⌉` long, or (in debug builds)
+    /// if a padding bit past `nbits` is set.
+    pub(crate) fn from_words(nbits: u32, words: &[u64]) -> Self {
+        assert_eq!(
+            words.len(),
+            nbits.div_ceil(64) as usize,
+            "path id width mismatch"
+        );
+        debug_assert!(
+            nbits % 64 == 0 || words.last().map_or(true, |&w| w << (nbits % 64) == 0),
+            "padding bit set"
+        );
+        PathIdBits {
+            nbits,
+            words: words.into(),
+        }
+    }
+
+    /// Sets bit `pos` (1-based from the left) of the word slice of an id —
+    /// the in-place form of [`set`](Self::set) for word arenas. The caller
+    /// guarantees `pos` lies within the id's width.
+    #[inline]
+    pub(crate) fn set_in(words: &mut [u64], pos: u32) {
+        debug_assert!(pos >= 1, "bit {pos} out of range");
+        let idx = (pos - 1) as usize;
+        words[idx / 64] |= 1u64 << (63 - (idx % 64));
+    }
+
     /// An id with exactly bit `pos` set (1-based from the left).
     ///
     /// # Panics
@@ -56,8 +97,7 @@ impl PathIdBits {
     /// Sets bit `pos` (1-based from the left).
     pub fn set(&mut self, pos: u32) {
         assert!(pos >= 1 && pos <= self.nbits, "bit {pos} out of range");
-        let idx = (pos - 1) as usize;
-        self.words[idx / 64] |= 1u64 << (63 - (idx % 64));
+        Self::set_in(&mut self.words, pos);
     }
 
     /// Reads bit `pos` (1-based from the left).
@@ -149,6 +189,19 @@ impl PathIdBits {
     /// (`⌈width / 8⌉`; e.g. XMark's 344-bit ids take 43 bytes).
     pub fn size_bytes(&self) -> usize {
         (self.nbits as usize).div_ceil(8)
+    }
+}
+
+impl Hash for PathIdBits {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        // Exactly `<[u64] as Hash>`, as `Borrow<[u64]>` requires.
+        self.words[..].hash(state);
+    }
+}
+
+impl Borrow<[u64]> for PathIdBits {
+    fn borrow(&self) -> &[u64] {
+        &self.words
     }
 }
 

@@ -73,6 +73,24 @@ impl PidInterner {
         if let Some(&p) = self.index.get(&bits) {
             return p;
         }
+        self.push(bits)
+    }
+
+    /// Interns the id whose storage words are `words` (laid out as
+    /// [`PathIdBits`] stores them), allocating only when the id is new —
+    /// how the labelers intern straight out of their word arenas.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a new id's `words` is not `⌈width / 64⌉` long.
+    pub(crate) fn intern_words(&mut self, words: &[u64]) -> Pid {
+        if let Some(&p) = self.index.get(words) {
+            return p;
+        }
+        self.push(PathIdBits::from_words(self.width, words))
+    }
+
+    fn push(&mut self, bits: PathIdBits) -> Pid {
         let p = Pid(u32::try_from(self.pids.len()).expect("too many distinct pids"));
         self.pids.push(bits.clone());
         self.index.insert(bits, p);
@@ -233,6 +251,44 @@ mod tests {
         i.intern(PathIdBits::single(344, 1));
         i.intern(PathIdBits::single(344, 2));
         assert_eq!(i.table_size_bytes(), 2 * 43);
+    }
+
+    #[test]
+    fn lookup_by_words_agrees_with_lookup_by_id() {
+        for width in [0u32, 1, 64, 65, 273] {
+            let mut ids = vec![PathIdBits::zero(width)];
+            for pos in [1, 2, 63, 64, 65, 128, 129, 200, 273] {
+                if pos <= width {
+                    let mut b = ids.last().unwrap().clone();
+                    b.set(pos);
+                    ids.push(PathIdBits::single(width, pos));
+                    ids.push(b);
+                }
+            }
+            let mut i = PidInterner::new(width);
+            // Half through each entry point, so each one must find what
+            // the other stored.
+            let pids: Vec<Pid> = ids
+                .iter()
+                .enumerate()
+                .map(|(k, b)| {
+                    if k % 2 == 0 {
+                        i.intern(b.clone())
+                    } else {
+                        i.intern_words(b.words())
+                    }
+                })
+                .collect();
+            for (b, &p) in ids.iter().zip(&pids) {
+                assert_eq!(i.get(b), Some(p), "width {width}");
+                assert_eq!(i.index.get(b.words()).copied(), Some(p), "width {width}");
+                assert_eq!(i.intern_words(b.words()), p, "width {width}");
+                assert_eq!(i.intern(b.clone()), p, "width {width}");
+                assert_eq!(i.bits(p), b);
+            }
+            let distinct: std::collections::HashSet<&PathIdBits> = ids.iter().collect();
+            assert_eq!(i.len(), distinct.len(), "width {width}");
+        }
     }
 
     #[test]

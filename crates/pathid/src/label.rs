@@ -45,22 +45,29 @@ impl Labeling {
             }
         }
 
-        // Pass 2: bottom-up OR. Node ids are pre-order, so a reverse scan
-        // sees every child before its parent.
+        // Pass 2: bottom-up OR into one flat arena of `words` words per
+        // node. Node ids are pre-order, so a reverse scan sees every child
+        // before its parent, and a parent's slice lies before its child's.
         let width = encoding.len() as u32;
-        let mut interner = PidInterner::new(width);
-        let mut bits: Vec<PathIdBits> = vec![PathIdBits::zero(width); doc.len()];
+        let words = width.div_ceil(64) as usize;
+        let mut arena = vec![0u64; doc.len() * words];
         for i in (0..doc.len()).rev() {
             let id = NodeId::from_index(i);
+            let (head, tail) = arena.split_at_mut(i * words);
+            let own = &mut tail[..words];
             if doc.children(id).is_empty() {
-                bits[i] = PathIdBits::single(width, leaf_encoding[i]);
+                PathIdBits::set_in(own, leaf_encoding[i]);
             }
             if let Some(p) = doc.parent(id) {
-                let (low, high) = split_two(&mut bits, p.index(), i);
-                low.or_assign(high);
+                let parent = &mut head[p.index() * words..(p.index() + 1) * words];
+                crate::words::or_assign(parent, own);
             }
         }
-        let node_pids: Vec<Pid> = bits.into_iter().map(|b| interner.intern(b)).collect();
+        // Intern in pre-order, so handles number ids by first occurrence.
+        let mut interner = PidInterner::new(width);
+        let node_pids: Vec<Pid> = (0..doc.len())
+            .map(|i| interner.intern_words(&arena[i * words..(i + 1) * words]))
+            .collect();
 
         Labeling {
             encoding,
@@ -96,18 +103,6 @@ impl Labeling {
             tag_v,
             child_axis,
         )
-    }
-}
-
-/// Disjoint mutable borrows of two vector slots (`a < b` not required).
-fn split_two<T>(v: &mut [T], a: usize, b: usize) -> (&mut T, &mut T) {
-    assert_ne!(a, b);
-    if a < b {
-        let (lo, hi) = v.split_at_mut(b);
-        (&mut lo[a], &mut hi[0])
-    } else {
-        let (lo, hi) = v.split_at_mut(a);
-        (&mut hi[0], &mut lo[b])
     }
 }
 

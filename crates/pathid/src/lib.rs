@@ -38,6 +38,7 @@
 mod adjacency;
 mod bits;
 mod encoding;
+mod handle;
 mod interner;
 mod label;
 mod rel;
@@ -51,6 +52,7 @@ pub use adjacency::{
 };
 pub use bits::{Ones, PathIdBits};
 pub use encoding::{EncodingTable, PathEncoding};
+pub use handle::{HandleHasher, HandleMap};
 pub use interner::{Pid, PidInterner};
 pub use label::Labeling;
 pub use rel::{axis_compatible, axis_compatible_masked, relation_mask};

@@ -12,10 +12,12 @@
 //!    first-encounter document order the DOM pass-1 DFS uses — the
 //!    [`EncodingTable`] comes out identical, fixing the path-id width.
 //! 2. **Pass B** ([`StreamLabeler`]) re-streams with a stack of open
-//!    elements. A leaf close materializes the single-bit id of its path;
-//!    every close ORs the finished id into the parent frame and retires
-//!    the element's `(tag, pid)` into a [`StreamSink`] — no per-node
-//!    storage survives the node's close event.
+//!    elements whose ids live in one flat word stack. A leaf close sets
+//!    the single bit of its path; every close interns the finished id
+//!    straight from its words, ORs them into the parent's and retires the
+//!    element's `(tag, pid)` into a [`StreamSink`] — no per-node storage
+//!    survives the node's close event, and no id is allocated unless it is
+//!    new.
 //!
 //! One ordering wrinkle: the DOM path interns pid bit-patterns in node
 //! *pre*-order, but a streaming pass can only finish a pattern at its
@@ -27,12 +29,11 @@
 //! minimal-pre-order bookkeeping lets sinks reconstruct first-encounter
 //! row orders for the frequency table.
 
-use std::collections::HashMap;
-
 use xpe_xml::{TagId, TagInterner};
 
 use crate::bits::PathIdBits;
 use crate::encoding::EncodingTable;
+use crate::handle::HandleMap;
 use crate::interner::{Pid, PidInterner};
 
 /// Pass A: collects the tag vocabulary and the distinct root-to-leaf
@@ -113,40 +114,37 @@ pub trait StreamSink {
     fn sibling_before(&mut self, x: TagId, pid: Pid, y: TagId, count: u64);
 }
 
-/// Per-open-element frame of pass B.
+/// Per-open-element frame of pass B. Its id words live in the labeler's
+/// flat word stack, not here.
 #[derive(Debug)]
 struct Frame {
     tag: TagId,
-    /// OR of the finished ids of the children closed so far (becomes this
-    /// element's id at close, unless it is a leaf).
-    bits: PathIdBits,
     /// Pre-order index of this element.
     pre: u64,
     has_child: bool,
     /// Number of element children closed so far.
     children: usize,
     /// First child position per child tag (the DOM scan's `first[]`).
-    first: HashMap<TagId, usize>,
+    first: HandleMap<TagId, usize>,
     /// Children closed so far, grouped by `(tag, temporary pid)`.
-    counts: HashMap<(TagId, Pid), u64>,
+    counts: HandleMap<(TagId, Pid), u64>,
     /// Snapshot of `counts` taken just before the most recent `y`-tagged
     /// child was added — at parent close this holds, for each `y`, every
     /// sibling group strictly before the *last* `y` child (the DOM scan's
     /// `last[y] > k` test, aggregated).
-    before_last: HashMap<TagId, HashMap<(TagId, Pid), u64>>,
+    before_last: HandleMap<TagId, HandleMap<(TagId, Pid), u64>>,
 }
 
 impl Frame {
-    fn new(tag: TagId, width: u32, pre: u64) -> Self {
+    fn new(tag: TagId, pre: u64) -> Self {
         Frame {
             tag,
-            bits: PathIdBits::zero(width),
             pre,
             has_child: false,
             children: 0,
-            first: HashMap::new(),
-            counts: HashMap::new(),
-            before_last: HashMap::new(),
+            first: HandleMap::default(),
+            counts: HandleMap::default(),
+            before_last: HandleMap::default(),
         }
     }
 }
@@ -183,6 +181,12 @@ pub struct StreamLabeler<'a> {
     tags: &'a TagInterner,
     encoding: &'a EncodingTable,
     width: u32,
+    /// Words per id (`⌈width / 64⌉`).
+    words: usize,
+    /// The id words of every open frame, `words` per frame, innermost
+    /// last: each holds the OR of the ids of the frame's children closed
+    /// so far (the element's id at close, unless it is a leaf).
+    bits: Vec<u64>,
     /// Temporary interner: patterns numbered by close-order encounter.
     temp: PidInterner,
     /// Per temporary pid: minimal pre-order index over its occurrences.
@@ -201,6 +205,8 @@ impl<'a> StreamLabeler<'a> {
             tags,
             encoding,
             width,
+            words: width.div_ceil(64) as usize,
+            bits: Vec::new(),
             temp: PidInterner::new(width),
             first_pre: Vec::new(),
             frames: Vec::new(),
@@ -229,7 +235,8 @@ impl<'a> StreamLabeler<'a> {
             parent.has_child = true;
         }
         self.path.push(tag);
-        self.frames.push(Frame::new(tag, self.width, self.next_pre));
+        self.frames.push(Frame::new(tag, self.next_pre));
+        self.bits.resize(self.bits.len() + self.words, 0);
         self.next_pre += 1;
     }
 
@@ -241,14 +248,20 @@ impl<'a> StreamLabeler<'a> {
     /// root-to-leaf path pass A never interned.
     pub fn close<S: StreamSink>(&mut self, sink: &mut S) {
         let mut frame = self.frames.pop().expect("close without open");
+        let top = self.bits.len() - self.words;
+        let (outer, own) = self.bits.split_at_mut(top);
         if !frame.has_child {
             let enc = self
                 .encoding
                 .encoding_of(&self.path)
                 .expect("leaf path not in pass-A encoding table");
-            frame.bits = PathIdBits::single(self.width, enc);
+            PathIdBits::set_in(own, enc);
         }
-        let pid = self.temp.intern(frame.bits.clone());
+        let pid = self.temp.intern_words(own);
+        if let Some(parent) = outer.len().checked_sub(self.words) {
+            crate::words::or_assign(&mut outer[parent..], own);
+        }
+        self.bits.truncate(top);
         if pid.index() == self.first_pre.len() {
             self.first_pre.push(frame.pre);
         } else {
@@ -272,7 +285,6 @@ impl<'a> StreamLabeler<'a> {
             debug_assert!(self.path.is_empty());
             return;
         };
-        parent.bits.or_assign(&frame.bits);
 
         // Sibling order, emitted online as children close. `element+`
         // (after): this child has a `y` sibling before it iff `y`'s first
@@ -317,6 +329,7 @@ impl<'a> StreamLabeler<'a> {
 mod tests {
     use super::*;
     use crate::label::Labeling;
+    use std::collections::HashMap;
     use xpe_xml::{parse_document, StreamEvent, StreamParser};
 
     /// Sink that records everything, for direct comparison with the DOM

@@ -4,9 +4,7 @@
 //! occurs with and its frequency. This is the exact statistic the
 //! p-histogram summarizes and the path join consumes.
 
-use std::collections::HashMap;
-
-use xpe_pathid::{Labeling, Pid};
+use xpe_pathid::{HandleMap, Labeling, Pid};
 use xpe_xml::{Document, TagId};
 
 /// Exact per-tag `(path id, frequency)` lists.
@@ -19,27 +17,21 @@ pub struct PathIdFrequencyTable {
 impl PathIdFrequencyTable {
     /// Aggregates the labeling of `doc` into per-tag rows.
     pub fn build(doc: &Document, labeling: &Labeling) -> Self {
-        let mut maps: Vec<HashMap<Pid, u64>> = vec![HashMap::new(); doc.tags().len()];
-        let mut orders: Vec<Vec<Pid>> = vec![Vec::new(); doc.tags().len()];
+        let tag_count = doc.tags().len();
+        let mut rows: Vec<Vec<(Pid, u64)>> = vec![Vec::new(); tag_count];
+        // Per tag: pid → its slot in the row. Rows grow in first-encounter
+        // order, so one probe per element both finds and orders the entry.
+        let mut slots: Vec<HandleMap<Pid, usize>> = vec![HandleMap::default(); tag_count];
         for n in doc.node_ids() {
             let tag = doc.tag(n).index();
             let pid = labeling.pid(n);
-            let entry = maps[tag].entry(pid).or_insert_with(|| {
-                orders[tag].push(pid);
-                0
+            let row = &mut rows[tag];
+            let slot = *slots[tag].entry(pid).or_insert_with(|| {
+                row.push((pid, 0));
+                row.len() - 1
             });
-            *entry += 1;
+            row[slot].1 += 1;
         }
-        let rows = orders
-            .into_iter()
-            .zip(maps)
-            .map(|(order, map)| {
-                order
-                    .into_iter()
-                    .map(|pid| (pid, map[&pid]))
-                    .collect::<Vec<_>>()
-            })
-            .collect();
         PathIdFrequencyTable { rows }
     }
 

@@ -47,7 +47,7 @@ mod view;
 
 pub use freq::PathIdFrequencyTable;
 pub use ohistogram::{OBucket, OHistogram, OHistogramSet, Region};
-pub use order::{OrderCell, PathOrderTable};
+pub use order::{OrderCell, OrderRow, PathOrderTable};
 pub use persist::LoadError;
 pub use phistogram::{PBucket, PHistogram, PHistogramSet};
 pub use rootpids::RootPidIndex;

@@ -6,9 +6,7 @@
 //! sibling (the `element+` region). An `X` element with `Y` siblings on
 //! both sides is counted in both regions (paper §3, final remark).
 
-use std::collections::HashMap;
-
-use xpe_pathid::{Labeling, Pid};
+use xpe_pathid::{HandleMap, Labeling, Pid};
 use xpe_xml::{Document, TagId};
 
 /// Before/after counts of one `(pid, sibling tag)` cell.
@@ -21,18 +19,21 @@ pub struct OrderCell {
     pub after: u64,
 }
 
+/// The sparse cells of one tag `X`, keyed by `(pid of X, sibling tag)`.
+pub type OrderRow = HandleMap<(Pid, TagId), OrderCell>;
+
 /// Sibling-order statistics for every tag.
 #[derive(Clone, Debug)]
 pub struct PathOrderTable {
-    /// `rows[x_tag.index()]`: sparse cells keyed by `(pid of X, sibling tag)`.
-    rows: Vec<HashMap<(Pid, TagId), OrderCell>>,
+    /// `rows[x_tag.index()]`: the cells of tag `X`.
+    rows: Vec<OrderRow>,
 }
 
 impl PathOrderTable {
     /// Collects sibling order information in one pass over all parents.
     pub fn build(doc: &Document, labeling: &Labeling) -> Self {
         let tag_count = doc.tags().len();
-        let mut rows: Vec<HashMap<(Pid, TagId), OrderCell>> = vec![HashMap::new(); tag_count];
+        let mut rows: Vec<OrderRow> = vec![OrderRow::default(); tag_count];
         // Scratch: first/last sibling position per tag, reset per parent.
         let mut first = vec![usize::MAX; tag_count];
         let mut last = vec![usize::MAX; tag_count];
@@ -55,14 +56,14 @@ impl PathOrderTable {
                 let x = doc.tag(c).index();
                 let pid = labeling.pid(c);
                 for &y in &touched {
-                    let y_tag = TagId::from_index(y);
-                    // `c` occurs before some Y sibling?
-                    if last[y] > k {
-                        rows[x].entry((pid, y_tag)).or_default().before += 1;
-                    }
-                    // `c` occurs after some Y sibling?
-                    if first[y] < k {
-                        rows[x].entry((pid, y_tag)).or_default().after += 1;
+                    // `c` occurs before / after some Y sibling? One probe
+                    // updates both regions.
+                    let before = last[y] > k;
+                    let after = first[y] < k;
+                    if before || after {
+                        let cell = rows[x].entry((pid, TagId::from_index(y))).or_default();
+                        cell.before += u64::from(before);
+                        cell.after += u64::from(after);
                     }
                 }
             }
@@ -81,7 +82,7 @@ impl PathOrderTable {
     /// pid order), so only the contents must match what
     /// [`build`](Self::build) computes — which is how the streaming ingest
     /// path can aggregate cells at element close events.
-    pub fn from_rows(rows: Vec<HashMap<(Pid, TagId), OrderCell>>) -> Self {
+    pub fn from_rows(rows: Vec<OrderRow>) -> Self {
         PathOrderTable { rows }
     }
 

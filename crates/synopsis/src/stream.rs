@@ -20,15 +20,14 @@
 //! p-histogram's stable sort exposes). The order table is keyed, not
 //! ordered, so equal contents suffice.
 
-use std::collections::HashMap;
 use std::time::Instant;
 
-use xpe_pathid::{PathIdTree, PathScan, Pid, StreamLabeler, StreamSink};
+use xpe_pathid::{HandleMap, PathIdTree, PathScan, Pid, StreamLabeler, StreamSink};
 use xpe_xml::{ParseError, StreamEvent, StreamParser, TagId};
 
 use crate::freq::PathIdFrequencyTable;
 use crate::ohistogram::OHistogramSet;
-use crate::order::{OrderCell, PathOrderTable};
+use crate::order::{OrderRow, PathOrderTable};
 use crate::phistogram::PHistogramSet;
 use crate::rootpids::RootPidIndex;
 use crate::summary::{BuildTimings, Summary, SummaryConfig};
@@ -37,16 +36,16 @@ use crate::summary::{BuildTimings, Summary, SummaryConfig};
 /// Pids are the labeler's temporary ids until the final remap.
 struct StatsSink {
     /// Per tag: pid → (frequency, minimal pre-order index).
-    freq: Vec<HashMap<Pid, (u64, u64)>>,
+    freq: Vec<HandleMap<Pid, (u64, u64)>>,
     /// Per tag: the path-order cells.
-    order: Vec<HashMap<(Pid, TagId), OrderCell>>,
+    order: Vec<OrderRow>,
 }
 
 impl StatsSink {
     fn new(tag_count: usize) -> Self {
         StatsSink {
-            freq: vec![HashMap::new(); tag_count],
-            order: vec![HashMap::new(); tag_count],
+            freq: vec![HandleMap::default(); tag_count],
+            order: vec![OrderRow::default(); tag_count],
         }
     }
 }
@@ -121,7 +120,7 @@ impl Summary {
             })
             .collect();
         let freq = PathIdFrequencyTable::from_rows(freq_rows);
-        let order_rows: Vec<HashMap<(Pid, TagId), OrderCell>> = sink
+        let order_rows: Vec<OrderRow> = sink
             .order
             .into_iter()
             .map(|row| {

@@ -66,15 +66,18 @@ enum State {
 /// Pull parser yielding [`StreamEvent`]s over a complete document held in
 /// (or mapped into) a byte slice.
 ///
-/// State is O(depth): a stack of open tag names plus a cursor. Call
+/// State is O(depth): a stack of open tag-name byte ranges plus a cursor.
+/// Call
 /// [`next_event`](Self::next_event) until it returns `Ok(None)`; after an
 /// error the parser is poisoned and keeps returning `Ok(None)`.
 #[derive(Debug)]
 pub struct StreamParser<'a> {
     bytes: &'a [u8],
     pos: usize,
-    /// Open tag names, innermost last (bounds nesting at [`MAX_DEPTH`]).
-    open: Vec<String>,
+    /// Byte ranges of the open tag names in `bytes`, innermost last
+    /// (bounds nesting at [`MAX_DEPTH`]). Ranges, not owned names: an
+    /// open costs no allocation, and close tags match on raw bytes.
+    open: Vec<(usize, usize)>,
     state: State,
     /// A `<a/>` produced its `Open`; its `Close` is owed next.
     pending_close: bool,
@@ -276,8 +279,7 @@ impl<'a> StreamParser<'a> {
         }
         self.expect(b'<')?;
         let (start, end) = self.name_range()?;
-        let name = String::from_utf8_lossy(&self.bytes[start..end]);
-        self.open.push(name.clone().into_owned());
+        self.open.push((start, end));
         self.attributes()?;
         self.skip_ws();
         if self.starts_with("/>") {
@@ -287,20 +289,27 @@ impl<'a> StreamParser<'a> {
             self.expect(b'>')?;
         }
         self.state = State::Content;
-        Ok(StreamEvent::Open { name })
+        Ok(StreamEvent::Open {
+            name: String::from_utf8_lossy(&self.bytes[start..end]),
+        })
     }
 
     fn close_tag(&mut self) -> Result<StreamEvent<'a>, ParseError> {
         self.bump(2);
         let (start, end) = self.name_range()?;
-        let found = String::from_utf8_lossy(&self.bytes[start..end]);
         self.skip_ws();
         self.expect(b'>')?;
-        let open = self.open.last().map(String::as_str).unwrap_or_default();
+        let found = &self.bytes[start..end];
+        let open = self
+            .open
+            .last()
+            .map_or(&[][..], |&(s, e)| &self.bytes[s..e]);
+        // Compare raw bytes: two names that differ only in invalid UTF-8
+        // decode to the same lossy string but are different tags.
         if open != found {
             return Err(self.err(ParseErrorKind::MismatchedTag {
-                open: open.to_owned(),
-                found: found.into_owned(),
+                open: String::from_utf8_lossy(open).into_owned(),
+                found: String::from_utf8_lossy(found).into_owned(),
             }));
         }
         Ok(self.emit_close())
@@ -532,6 +541,51 @@ mod tests {
         ));
         // After the error the stream stays terminated.
         assert!(matches!(p.next_event(), Ok(None)));
+    }
+
+    #[test]
+    fn names_differing_only_in_invalid_utf8_do_not_match() {
+        // Both names decode lossily to "a\u{FFFD}"; as bytes they differ.
+        let mut p = StreamParser::new(b"<a\xff></a\xfe>");
+        assert!(matches!(p.next_event(), Ok(Some(StreamEvent::Open { .. }))));
+        let err = p.next_event().unwrap_err();
+        assert_eq!(
+            err,
+            ParseError {
+                offset: 9,
+                kind: ParseErrorKind::MismatchedTag {
+                    open: "a\u{FFFD}".to_owned(),
+                    found: "a\u{FFFD}".to_owned(),
+                },
+            }
+        );
+        assert!(matches!(p.next_event(), Ok(None)));
+    }
+
+    #[test]
+    fn mismatched_tag_payload_and_offset_are_stable() {
+        let err = events("<r><ab></abc ></r>").unwrap_err();
+        assert_eq!(
+            err,
+            ParseError {
+                offset: 14,
+                kind: ParseErrorKind::MismatchedTag {
+                    open: "ab".to_owned(),
+                    found: "abc".to_owned(),
+                },
+            }
+        );
+        let err = events("<r><é></è></r>").unwrap_err();
+        assert_eq!(
+            err,
+            ParseError {
+                offset: 12,
+                kind: ParseErrorKind::MismatchedTag {
+                    open: "é".to_owned(),
+                    found: "è".to_owned(),
+                },
+            }
+        );
     }
 
     #[test]

@@ -91,3 +91,48 @@ fn loading_garbage_fails_cleanly() {
     assert!(Syn::from_bytes(b"not a summary at all").is_err());
     assert!(Syn::from_bytes(&[0u8; 64]).is_err());
 }
+
+/// The summaries of the nine pinned `(dataset, scale, seed)` corpora, as
+/// `(byte length, CRC-32 of everything before the trailer)` — the
+/// trailer itself, so a pin doubles as a check of the stored checksum.
+/// Any change to the build path that alters one summary byte, from the
+/// DOM or the streaming build, fails here; update a pin only together
+/// with a deliberate change to the summary format or its statistics.
+const PINNED_SUMMARIES: [(Dataset, f64, u64, usize, u32); 9] = [
+    (Dataset::XMark, 0.1, 1, 128_933, 0x96f3_9aef),
+    (Dataset::XMark, 0.1, 2, 132_437, 0x27c0_221b),
+    (Dataset::XMark, 0.1, 3, 126_089, 0x125b_0a2e),
+    (Dataset::Dblp, 0.02, 1, 49_540, 0xc524_4f89),
+    (Dataset::Dblp, 0.02, 2, 52_004, 0x0672_a7d6),
+    (Dataset::Dblp, 0.02, 3, 51_328, 0x7615_dfcb),
+    (Dataset::SSPlays, 0.05, 1, 3_583, 0xa375_cfee),
+    (Dataset::SSPlays, 0.05, 2, 4_215, 0x40bf_09ec),
+    (Dataset::SSPlays, 0.05, 3, 3_583, 0xeae5_19e0),
+];
+
+#[test]
+fn pinned_summaries_are_byte_stable() {
+    for (dataset, scale, seed, len, crc) in PINNED_SUMMARIES {
+        let doc = DatasetSpec {
+            dataset,
+            scale,
+            seed,
+        }
+        .generate();
+        let bytes = Syn::build(&doc, SummaryConfig::default()).to_bytes();
+        let body = &bytes[..bytes.len() - 4];
+        assert_eq!(
+            (bytes.len(), xpe::xml::wire::crc32(body)),
+            (len, crc),
+            "{dataset:?} {scale} seed {seed}: summary bytes changed"
+        );
+        assert_eq!(&bytes[body.len()..], crc.to_le_bytes(), "stored trailer");
+        let streamed = Syn::build_streaming(&xpe::xml::to_string(&doc), SummaryConfig::default())
+            .expect("serialized corpus parses")
+            .to_bytes();
+        assert!(
+            streamed == bytes,
+            "{dataset:?} {scale} seed {seed}: streaming build differs"
+        );
+    }
+}

@@ -10,9 +10,10 @@
 //!   containment tests, all edges swept per fixpoint pass;
 //! * `bitmap_cold` / `bitmap_warm` — the bit-parallel kernel
 //!   ([`path_join_bitmap`]): dense pid-index bitmaps for the surviving
-//!   sets, adjacency-row semi-joins, per-(tag, axis) candidate screens, a
-//!   worklist fixpoint — cold builds every bitmap structure inside the
-//!   timed region, warm is the steady state with pooled scratch.
+//!   sets, semi-joins over the containment-relation rows, per-(tag, axis)
+//!   candidate screens, a worklist fixpoint — cold builds every bitmap
+//!   structure inside the timed region, warm is the steady state with
+//!   pooled scratch.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 

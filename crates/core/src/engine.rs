@@ -1,14 +1,14 @@
 //! The batched estimation engine — the throughput layer over
 //! [`Estimator`].
 //!
-//! A single [`Estimator`] already memoizes containment adjacencies and
-//! recycles join allocations; the engine adds workload-level machinery on
-//! top: a shared containment-adjacency index and a workload-level
+//! A single [`Estimator`] already memoizes its joins' candidate and seed
+//! bitmaps and recycles join allocations; the engine adds workload-level
+//! machinery on top: a shared join index and a workload-level
 //! [`JoinCache`] that every worker warms for the others,
 //! plus [`estimate_batch`](EstimationEngine::estimate_batch), which fans a
 //! query slice across scoped worker threads. Each worker owns one
 //! estimator (scratch arenas never cross threads) while all of them read
-//! the same summary and memo tables. Results come back in input order and
+//! the same summary and shared caches. Results come back in input order and
 //! are bit-identical to a serial `estimate` loop — estimates are pure
 //! functions of `(summary, query)`; the caches only change how fast they
 //! are produced.
@@ -66,11 +66,12 @@ pub struct KernelStats {
     /// Estimate-cache entries dropped by segment rotation — its only
     /// eviction path.
     pub estimate_cache_invalidations: u64,
-    /// Containment adjacencies built (distinct `(tag, tag, axis)` triples).
+    /// Edge candidate bitmaps built (distinct `(tag, tag, axis)` triples).
     pub adjacency_builds: u64,
-    /// Total wall-clock milliseconds spent building adjacencies.
+    /// Total wall-clock milliseconds spent building edge candidates.
     pub adjacency_build_ms: f64,
-    /// Total `(pid_u, pid_v)` pairs materialized across all adjacencies.
+    /// Total compatible `(pid_u, pid_v)` pairs across every built edge
+    /// key — the pairs its candidates admit from the containment relation.
     pub adjacency_pairs: u64,
     /// Fallible estimates that completed normally.
     pub outcomes_ok: u64,
@@ -83,11 +84,12 @@ pub struct KernelStats {
     /// subset of `outcomes_degraded`).
     pub worker_panics: u64,
     /// Lock (mutex) acquisitions across the engine's shared caches: the
-    /// adjacency index, the join cache's shards, and the estimate cache.
+    /// join index, the join cache's shards, and the estimate cache.
     /// The warm-path contract is that this counter does **not** move
     /// between two [`kernel_stats`](EstimationEngine::kernel_stats) calls
-    /// with only warm estimates in between — snapshot probes, private
-    /// memos, and worker-local join caches serve everything lock-free.
+    /// with only warm estimates in between — snapshot probes through
+    /// private fronts and worker-local join caches serve everything
+    /// lock-free.
     pub lock_acquisitions: u64,
 }
 
@@ -252,7 +254,8 @@ impl<'s> EstimationEngine<'s> {
         self.summary
     }
 
-    /// The shared containment-adjacency index (grows as queries run).
+    /// The shared join index of candidate and seed bitmaps (grows as
+    /// queries run).
     pub fn adjacency_cache(&self) -> &Arc<JoinIndexCache> {
         &self.adjacency
     }
@@ -579,8 +582,8 @@ mod tests {
 
     /// The headline concurrency contract: once every cache layer is warm,
     /// an estimate acquires **zero** shared locks — join lookups are
-    /// served by the worker-private cache, adjacencies and seeds by the
-    /// estimator's flat memo, and nothing needs a snapshot refresh
+    /// served by the worker-private cache, candidate and seed bitmaps by
+    /// the estimator's index front, and nothing needs a snapshot refresh
     /// because nothing gets published.
     #[test]
     fn warm_estimates_take_zero_locks() {

@@ -21,7 +21,7 @@ use std::cell::RefCell;
 use std::ops::Deref;
 use std::sync::Arc;
 
-use xpe_pathid::JoinIndexCache;
+use xpe_pathid::{JoinIndexCache, JoinIndexReader};
 use xpe_synopsis::{Region, Summary};
 use xpe_xpath::{
     constraint_chains, parse_query, Axis, OrderConstraint, OrderKind, Query, QueryNodeId,
@@ -32,8 +32,7 @@ use crate::editor::{self, subtree_of};
 use crate::estcache::{estimate_key, EstimateCache, EstimateCacheReader};
 use crate::invariant::{finalize_estimate, safe_div};
 use crate::join::{
-    path_join, path_join_bitmap_planned, JoinKernel, JoinMemo, JoinPhaseStats, JoinResult,
-    JoinScratch,
+    path_join, path_join_bitmap_planned, JoinKernel, JoinPhaseStats, JoinResult, JoinScratch,
 };
 use crate::joincache::{skeleton_key, JoinCache, WorkerJoinCache};
 use crate::planner::QueryPlan;
@@ -44,15 +43,14 @@ use crate::serve::{
 
 /// Selectivity estimator over a prebuilt [`Summary`].
 ///
-/// Every estimator memoizes the containment adjacencies its joins compute
-/// (keyed by `(tag_u, tag_v, axis)` — pure functions of the summary) and
-/// recycles the joins' per-node list allocations. On top of the shared
-/// adjacency index each estimator keeps a private lock-free [`JoinMemo`]
-/// — flat `Vec`-indexed adjacency and seed-bitmap tables filled on first
-/// miss — so a warm join never takes a lock or hashes a key. Estimators
-/// built by [`EstimationEngine`](crate::EstimationEngine) share one
-/// adjacency index and one workload-level [`JoinCache`], so a batch warms
-/// both for every worker.
+/// Every estimator memoizes the candidate and seed bitmaps its joins
+/// compute (keyed by `(tag_u, tag_v, axis)` and `(tag, rooted)` — pure
+/// functions of the summary) in a [`JoinIndexCache`] and recycles the
+/// joins' per-node list allocations. It reads that cache through a
+/// private [`JoinIndexReader`] front whose held snapshot answers warm
+/// lookups without a lock. Estimators built by
+/// [`EstimationEngine`](crate::EstimationEngine) share one index and one
+/// workload-level [`JoinCache`], so a batch warms both for every worker.
 pub struct Estimator<'s> {
     summary: &'s Summary,
     adjacency: Arc<JoinIndexCache>,
@@ -66,10 +64,9 @@ pub struct Estimator<'s> {
     /// lock-free, above all join machinery (see `estcache`).
     est_cache: Option<RefCell<EstimateCacheReader>>,
     scratch: RefCell<JoinScratch>,
-    /// Flat per-estimator mirror of the shared adjacency/seed caches —
-    /// valid for this estimator's `(summary, adjacency)` pairing, which
-    /// both live as long as the estimator by construction.
-    memo: RefCell<JoinMemo>,
+    /// Lock-free front for `adjacency`: warm candidate and seed lookups
+    /// probe its held snapshot.
+    index: RefCell<JoinIndexReader<Arc<JoinIndexCache>>>,
     /// Which join kernel [`run_join`](Self::run_join) dispatches to. All
     /// kernels are bit-identical; this only selects speed (and, for
     /// `Naive`, opts out of budget cooperation).
@@ -115,12 +112,15 @@ impl<'s> Estimator<'s> {
         Self::with_caches(summary, Arc::new(JoinIndexCache::new()), None)
     }
 
-    /// Creates an estimator sharing both kernel caches: the containment
-    /// adjacency index and (optionally) the workload-level join cache —
-    /// how the batch engine gives every worker the same warm tables.
-    /// Neither changes any estimate — joins are pure functions of
-    /// `(summary, query skeleton)` — only how fast the estimate is
-    /// produced.
+    /// Creates an estimator sharing both kernel caches: the join index
+    /// and (optionally) the workload-level join cache — how the batch
+    /// engine gives every worker the same warm tables. Neither changes
+    /// any estimate — joins are pure functions of `(summary, query
+    /// skeleton)` — only how fast the estimate is produced.
+    ///
+    /// `adjacency` must serve this `summary`: a cache warmed on a summary
+    /// with a different pid count panics on the first join that reads
+    /// it.
     pub fn with_caches(
         summary: &'s Summary,
         adjacency: Arc<JoinIndexCache>,
@@ -128,11 +128,11 @@ impl<'s> Estimator<'s> {
     ) -> Self {
         Estimator {
             summary,
+            index: RefCell::new(JoinIndexReader::new(Arc::clone(&adjacency))),
             adjacency,
             join_cache: join_cache.map(|c| RefCell::new(WorkerJoinCache::new(c))),
             est_cache: None,
             scratch: RefCell::new(JoinScratch::new()),
-            memo: RefCell::new(JoinMemo::new()),
             kernel: JoinKernel::default(),
             budget: RefCell::new(None),
         }
@@ -184,7 +184,7 @@ impl<'s> Estimator<'s> {
         self.scratch.borrow_mut().reset_phase_stats();
     }
 
-    /// The shared containment-adjacency index.
+    /// The shared join index (candidate and seed bitmaps).
     pub fn adjacency_cache(&self) -> &Arc<JoinIndexCache> {
         &self.adjacency
     }
@@ -250,8 +250,7 @@ impl<'s> Estimator<'s> {
                     self.summary,
                     query,
                     &plan,
-                    &self.adjacency,
-                    Some(&mut self.memo.borrow_mut()),
+                    &mut self.index.borrow_mut(),
                     Some(&mut self.scratch.borrow_mut()),
                     self.budget.borrow().as_ref(),
                 )
@@ -745,6 +744,23 @@ mod tests {
         )
     }
 
+    /// A join index belongs to one summary: pairing a cache warmed on
+    /// Figure 1 with a summary of a different pid count panics with a
+    /// clear message, even when every key the query needs is already
+    /// warm, instead of reading relation rows by the wrong pid indices.
+    #[test]
+    #[should_panic(expected = "JoinIndexCache paired with a different summary")]
+    fn warm_cache_rejects_a_different_summary() {
+        let s = summary();
+        let cache = Arc::new(JoinIndexCache::new());
+        let query = parse_query("//A/B").unwrap();
+        Estimator::with_caches(&s, Arc::clone(&cache), None).estimate(&query);
+        let doc = xpe_xml::parse_document("<Root><A><B/></A></Root>").unwrap();
+        let other = Summary::build(&doc, SummaryConfig::default());
+        assert_ne!(other.pids.len(), s.pids.len());
+        Estimator::with_caches(&other, cache, None).estimate(&query);
+    }
+
     /// The unknown-tag early return in `estimate_via_conversion` runs a
     /// join first; its scratch vectors must come back to the pool, not be
     /// dropped with the `0.0`.
@@ -764,7 +780,7 @@ mod tests {
         );
     }
 
-    /// Warm private memos and plans change nothing observable: a reused
+    /// A warm index front and plans change nothing observable: a reused
     /// estimator reproduces a fresh estimator's results bit for bit.
     #[test]
     fn warm_memos_are_bit_identical_to_cold() {
@@ -782,7 +798,7 @@ mod tests {
                 let query = parse_query(q).unwrap();
                 let cold = Estimator::new(&s).with_kernel(kernel);
                 let a = cold.estimate(&query);
-                // Twice through the same estimator: cold memo, then warm.
+                // Twice through the same estimator: cold front, then warm.
                 let b = warm.estimate(&query);
                 let c = warm.estimate(&query);
                 assert_eq!(a.to_bits(), b.to_bits(), "{q} {}", kernel.name());

@@ -14,29 +14,30 @@
 //!   against it bit for bit.
 //! * [`path_join_bitmap`] — the bit-parallel kernel the estimator runs by
 //!   default: each node's surviving set is a pid-index *bitmap*, each
-//!   edge resolves to a precomputed [`ContainmentAdjacency`] (the
-//!   containment and relation-mask tests folded into one bit row per pid
-//!   and direction), each edge step is a word-parallel semi-join over
-//!   those rows screened by the adjacency's candidate bitmap, and a
-//!   **worklist fixpoint** re-examines only edges whose endpoint sets
-//!   shrank instead of sweeping every edge per pass. The final `(pid, f)` lists are rebuilt
+//!   edge resolves to its memoized candidate bitmap (the pids passing the
+//!   edge's relation mask), each edge step is a word-parallel semi-join
+//!   over the summary's shared [`PidContainmentRelation`] rows with both
+//!   sides screened by those candidates, and a **worklist fixpoint**
+//!   re-examines only edges whose endpoint sets shrank instead of
+//!   sweeping every edge per pass. The final `(pid, f)` lists are rebuilt
 //!   from the bitmaps in histogram order.
 //!
 //! The fixpoint both kernels compute is the *greatest* set of surviving
 //! pids closed under every edge constraint. Each pruning step is monotone
 //! (it only removes pids, and removing pids can only enable more
 //! removals), so the fixpoint is unique regardless of the order edges are
-//! examined in — which is what makes the worklist schedule, the adjacency
+//! examined in — which is what makes the worklist schedule, the relation
 //! rows, and the naive scan interchangeable bit for bit: `retain` keeps
 //! histogram order, so identical surviving sets sum to identical `f64`s.
 
 use std::collections::VecDeque;
+use std::ops::Deref;
 use std::sync::Arc;
 use std::time::Instant;
 
 use xpe_pathid::{
-    axis_compatible_masked, relation_mask, words, ContainmentAdjacency, JoinIndexCache,
-    JoinIndexSnapshot, Pid,
+    axis_compatible_masked, relation_mask, words, JoinIndexCache, JoinIndexReader, Pid,
+    PidContainmentRelation,
 };
 use xpe_synopsis::Summary;
 use xpe_xml::TagId;
@@ -88,16 +89,18 @@ impl JoinKernel {
 /// nanoseconds. Collected only when a [`JoinScratch`] has timing enabled
 /// (an `Instant::now` pair per phase is measurable on µs-scale joins, so
 /// it is off by default); the bench harness turns it on to report where
-/// join time goes. Adjacency build time is *not* in here — builds are
-/// memoized in [`JoinIndexCache`] and timed by its own counters.
+/// join time goes. Candidate, seed and relation build time is *not*
+/// priced separately: a join that misses the [`JoinIndexCache`] builds
+/// inside its screen phase, so a warm breakdown needs a warm cache. The
+/// cache times its edge builds with its own counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct JoinPhaseStats {
     /// Building the prepared [`QueryPlan`] — tag-name resolution and edge
     /// flattening. Lapped by the estimator (plans are built outside the
-    /// kernels, and skipped entirely on a plan-cache hit).
+    /// kernels, and skipped entirely on a join-cache hit).
     pub plan_ns: u64,
-    /// Seeding candidate lists/bitmaps, root pinning, and edge
-    /// resolution (mask/adjacency lookups).
+    /// Seeding the per-node bitmaps (root pinning included) and edge
+    /// resolution (candidate-bitmap lookups).
     pub screen_ns: u64,
     /// The worklist fixpoint itself.
     pub fixpoint_ns: u64,
@@ -243,128 +246,6 @@ impl JoinScratch {
     }
 }
 
-/// Per-estimator lock-free memo tables over the shared [`JoinIndexCache`].
-///
-/// A `JoinMemo` is a plain `Vec`-indexed mirror owned by one estimator:
-/// adjacency rows are keyed by `(dense tag index, axis)` and seed bitmaps
-/// by `(dense tag index, rooted)`, each slot filled on first miss. A
-/// flat-table miss first probes the shared cache's epoch-published
-/// snapshot — held here and revalidated with a single atomic epoch load,
-/// refreshed (one mutex acquisition) only when another worker has
-/// published since — so a warm shared cache is absorbed into the flat
-/// tables without ever taking a lock. Only a key absent from the
-/// snapshot falls through to the shared cache's cold build-and-publish
-/// path.
-///
-/// A memo is only meaningful against a single `(summary, JoinIndexCache)`
-/// pair — the estimator owns one of each for its whole lifetime, which
-/// guarantees the pairing by construction. Callers driving the kernels
-/// directly must do the same or pass `None`.
-#[derive(Debug, Default)]
-pub struct JoinMemo {
-    /// Tag-interner width the tables are sized for (fixed at first use;
-    /// a summary's interner never grows after construction).
-    ntags: usize,
-    /// `(tag_u, axis)`-indexed rows of `(tag_v)`-indexed adjacency slots,
-    /// allocated lazily per touched row — `tag_u.index() * 2 + child`.
-    adj_rows: Vec<Option<AdjacencyRow>>,
-    /// `(tag, rooted)`-indexed seed bitmaps — `tag.index() * 2 + rooted`.
-    seeds: Vec<Option<Arc<Vec<u64>>>>,
-    /// Held snapshot of the shared adjacency/seed cache and the epoch it
-    /// was (at least) current at.
-    index_snapshot: Option<Arc<JoinIndexSnapshot>>,
-    index_epoch: u64,
-}
-
-/// One lazily-allocated memo row: `tag_v`-indexed adjacency slots.
-type AdjacencyRow = Box<[Option<Arc<ContainmentAdjacency>>]>;
-
-impl JoinMemo {
-    /// Creates an empty memo; tables size themselves on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn ensure(&mut self, ntags: usize) {
-        if ntags > self.ntags {
-            self.ntags = ntags;
-            self.adj_rows.clear();
-            self.adj_rows.resize_with(ntags * 2, || None);
-            self.seeds.clear();
-            self.seeds.resize_with(ntags * 2, || None);
-        }
-    }
-
-    /// The held index snapshot, refreshed when the shared cache's epoch
-    /// has moved past the one this memo last observed.
-    fn index_snapshot(&mut self, cache: &JoinIndexCache) -> &JoinIndexSnapshot {
-        let epoch = cache.epoch();
-        if self.index_snapshot.is_none() || self.index_epoch != epoch {
-            self.index_snapshot = Some(cache.snapshot());
-            self.index_epoch = epoch;
-        }
-        self.index_snapshot.as_deref().expect("just refreshed")
-    }
-
-    /// The adjacency of `(tag_u, tag_v, child)`, served from the flat
-    /// table; a flat miss probes the lock-free snapshot before falling
-    /// through to the shared cache's build-and-publish path.
-    fn adjacency(
-        &mut self,
-        summary: &Summary,
-        cache: &JoinIndexCache,
-        tag_u: TagId,
-        tag_v: TagId,
-        child: bool,
-    ) -> Arc<ContainmentAdjacency> {
-        self.ensure(summary.tags.len());
-        let slot = tag_u.index() * 2 + usize::from(child);
-        if let Some(row) = &self.adj_rows[slot] {
-            if let Some(a) = &row[tag_v.index()] {
-                return Arc::clone(a);
-            }
-        }
-        let a = self
-            .index_snapshot(cache)
-            .adjacency(tag_u, tag_v, child)
-            .cloned()
-            .unwrap_or_else(|| summary.adjacency(cache, tag_u, tag_v, child));
-        let ntags = self.ntags;
-        let row = self.adj_rows[slot].get_or_insert_with(|| vec![None; ntags].into_boxed_slice());
-        row[tag_v.index()] = Some(Arc::clone(&a));
-        a
-    }
-
-    /// The seed bitmap of `(tag, rooted)`, served from the flat table;
-    /// a flat miss probes the lock-free snapshot before falling through
-    /// to the shared cache's build-and-publish path.
-    fn seed(
-        &mut self,
-        summary: &Summary,
-        cache: &JoinIndexCache,
-        tag: TagId,
-        rooted: bool,
-        set_words: usize,
-    ) -> Arc<Vec<u64>> {
-        self.ensure(summary.tags.len());
-        let slot = tag.index() * 2 + usize::from(rooted);
-        if let Some(s) = &self.seeds[slot] {
-            return Arc::clone(s);
-        }
-        let s = self
-            .index_snapshot(cache)
-            .seed(tag, rooted)
-            .cloned()
-            .unwrap_or_else(|| {
-                cache.seed_bitmap(tag, rooted, || {
-                    build_seed_bitmap(summary, tag, rooted, set_words)
-                })
-            });
-        self.seeds[slot] = Some(Arc::clone(&s));
-        s
-    }
-}
-
 /// Builds the `(tag, rooted)` seed bitmap: every pid of `tag`'s
 /// p-histogram, restricted to depth-0 pids when `rooted`.
 fn build_seed_bitmap(summary: &Summary, tag: TagId, rooted: bool, set_words: usize) -> Vec<u64> {
@@ -453,12 +334,12 @@ pub fn path_join(summary: &Summary, query: &Query) -> JoinResult {
 
 /// The bit-parallel join kernel: each query node's surviving set is a
 /// pid-index bitmap and each edge examination is a word-parallel
-/// semi-join over the adjacency's precomputed bitmap rows and candidate
-/// bitmaps, scheduled by a worklist fixpoint. Final `(pid, frequency)`
-/// lists are rebuilt by filtering the p-histogram entries through the
-/// final bitmaps — histogram order is exactly the order the reference
-/// kernel's `retain` preserves, so the lists (and every downstream `f64`
-/// sum) are bit-identical to [`path_join`].
+/// semi-join over the summary's containment-relation rows, screened by
+/// the edge's candidate bitmap, scheduled by a worklist fixpoint. Final
+/// `(pid, frequency)` lists are rebuilt by filtering the p-histogram
+/// entries through the final bitmaps — histogram order is exactly the
+/// order the reference kernel's `retain` preserves, so the lists (and
+/// every downstream `f64` sum) are bit-identical to [`path_join`].
 pub fn path_join_bitmap(
     summary: &Summary,
     query: &Query,
@@ -466,18 +347,19 @@ pub fn path_join_bitmap(
     scratch: Option<&mut JoinScratch>,
 ) -> JoinResult {
     let plan = QueryPlan::build(summary, query);
-    path_join_bitmap_planned(summary, query, &plan, adjacency, None, scratch, None)
+    let mut index = JoinIndexReader::new(adjacency);
+    path_join_bitmap_planned(summary, query, &plan, &mut index, scratch, None)
 }
 
-/// [`path_join_bitmap`] against a caller-prepared [`QueryPlan`] with an
-/// optional per-estimator [`JoinMemo`], under an optional cooperative
-/// [`BudgetState`] — the shape the estimator drives: plan built (or
-/// plan-cache-served) once per skeleton, memo warm after the first join
-/// per `(tag, axis)` key, scratch recycled, so the screen phase does no
-/// string hashing, no locking, and no allocation — just word moves: one
-/// bitmap copy per node and one `Vec` push per edge. The plan and memo
-/// must have been built against this exact `summary` (and the memo
-/// against this `adjacency`).
+/// [`path_join_bitmap`] against a caller-prepared [`QueryPlan`] and a
+/// [`JoinIndexReader`] front, under an optional cooperative
+/// [`BudgetState`] — the shape the estimator drives: plan built once per
+/// skeleton, the front's held snapshot warm after the first join per
+/// `(tag, axis)` key, scratch recycled, so the screen phase does no
+/// string hashing, no locking, and no allocation — just hash probes and
+/// word moves: one bitmap copy per node and one `Vec` push per edge. The
+/// plan and the front's cache must belong to this exact `summary`
+/// ([`JoinIndexCache::relation`] panics on a pid-count mismatch).
 ///
 /// Every worklist edge examination charges `budget`, and on exhaustion
 /// the fixpoint stops where it stands. The interrupted result is a
@@ -486,12 +368,11 @@ pub fn path_join_bitmap(
 /// budget-exhausted join as degraded and fall back to the `f(tag)` bound
 /// rather than trusting the partial lists, and never publish it to a
 /// shared cache.
-pub fn path_join_bitmap_planned(
+pub fn path_join_bitmap_planned<C: Deref<Target = JoinIndexCache>>(
     summary: &Summary,
     query: &Query,
     plan: &QueryPlan,
-    adjacency: &JoinIndexCache,
-    mut memo: Option<&mut JoinMemo>,
+    index: &mut JoinIndexReader<C>,
     scratch: Option<&mut JoinScratch>,
     budget: Option<&BudgetState>,
 ) -> JoinResult {
@@ -516,21 +397,17 @@ pub fn path_join_bitmap_planned(
         let mut bm = scratch.take_bits(set_words);
         let rooted = plan.rooted() == Some(q);
         if let Some(tag) = plan.tag(q) {
-            let seed = match memo.as_deref_mut() {
-                Some(m) => m.seed(summary, adjacency, tag, rooted, set_words),
-                None => adjacency.seed_bitmap(tag, rooted, || {
-                    build_seed_bitmap(summary, tag, rooted, set_words)
-                }),
-            };
+            let seed = index.seed(tag, rooted, || {
+                build_seed_bitmap(summary, tag, rooted, set_words)
+            });
             bm.copy_from_slice(&seed);
         }
         counts.push(words::count_ones(&bm) as usize);
         node_bits.push(bm);
     }
 
-    // Resolve each structural edge to its containment adjacency; unknown
-    // tags kill both endpoints outright, exactly like the reference
-    // kernel.
+    // Resolve each structural edge to its candidate bitmap; unknown tags
+    // kill both endpoints outright, exactly like the reference kernel.
     let mut edges = std::mem::take(&mut scratch.bit_edges);
     edges.clear();
     for e in plan.edges() {
@@ -541,16 +418,17 @@ pub fn path_join_bitmap_planned(
             counts[e.v.index()] = 0;
             continue;
         };
-        let adj = match memo.as_deref_mut() {
-            Some(m) => m.adjacency(summary, adjacency, tag_u, tag_v, e.child),
-            None => summary.adjacency(adjacency, tag_u, tag_v, e.child),
-        };
+        let cand = index.candidates(&summary.encoding, &summary.pids, tag_u, tag_v, e.child);
         edges.push(BitEdge {
             u: e.u,
             v: e.v,
-            adj,
+            cand,
         });
     }
+    // Every edge's candidate build went through the summary's relation,
+    // so this only reads it (and checks the cache–summary pairing); an
+    // edgeless join never needs it.
+    let relation = (!edges.is_empty()).then(|| index.relation(&summary.pids));
 
     // Worklist fixpoint: seeded with every edge, an edge re-enqueued only
     // when one of its endpoint sets shrank since it was last processed,
@@ -579,20 +457,21 @@ pub fn path_join_bitmap_planned(
         }
         queued[ei] = false;
         let edge = &edges[ei];
+        let relation = relation.expect("a queued edge implies a resolved relation");
         let (ub, vb) = two_lists(&mut node_bits, edge.u.index(), edge.v.index());
         let before_u = counts[edge.u.index()];
         let before_v = counts[edge.v.index()];
+        // The relation rows are unmasked, so no row may meet a
+        // non-candidate pid: screen the first call's source here (each
+        // call screens its own destination). The second call's source is
+        // the first call's screened destination.
+        words::and_assign(vb, &edge.cand);
+        let walk_u = before_u <= before_v;
         counts[edge.u.index()] =
-            semi_join_bits(ub, before_u, vb, before_v, &edge.adj, true, &mut acc);
-        counts[edge.v.index()] = semi_join_bits(
-            vb,
-            before_v,
-            ub,
-            counts[edge.u.index()],
-            &edge.adj,
-            false,
-            &mut acc,
-        );
+            semi_join_bits(ub, vb, walk_u, &edge.cand, relation, true, &mut acc);
+        let walk_v = before_v <= counts[edge.u.index()];
+        counts[edge.v.index()] =
+            semi_join_bits(vb, ub, walk_v, &edge.cand, relation, false, &mut acc);
         // Re-enqueue neighbors of shrunk endpoints — including this edge:
         // pruning v against the already-pruned u can strand pids in u.
         for (node, before) in [(edge.u, before_u), (edge.v, before_v)] {
@@ -654,13 +533,13 @@ pub fn path_join_bitmap_planned(
     JoinResult { lists }
 }
 
-/// One structural query edge resolved to its containment adjacency (the
-/// bitmap kernel needs no mask — the adjacency folds the mask test in).
+/// One structural query edge resolved to its candidate bitmap (the
+/// bitmap kernel needs no mask — the candidates fold the mask test in).
 #[derive(Debug)]
 struct BitEdge {
     u: QueryNodeId,
     v: QueryNodeId,
-    adj: Arc<ContainmentAdjacency>,
+    cand: Arc<Vec<u64>>,
 }
 
 /// Rebuilds the hoisted worklist state for a join over `n_edges` edges
@@ -692,41 +571,43 @@ fn prime_worklist(
     worklist.extend(0..n_edges);
 }
 
-/// One direction of the bitmap semi-join: keep in `dst` only pids whose
-/// adjacency row (forward rows when `forward`, else reverse) intersects
-/// `src`. Two strategies compute the identical set — test each surviving
-/// `dst` pid's row against `src`, or union the `src` pids' opposite-side
-/// rows into `acc` and intersect — and the smaller side picks which, so
-/// the work tracks `min(|dst|, |src|)` row touches. Returns `dst`'s new
-/// population count.
+/// One direction of the bitmap semi-join: keep in `dst` only candidate
+/// pids whose relation row (forward rows when `forward`, else reverse)
+/// intersects `src`. `src` must already lie inside `cand`: with both
+/// sides screened, a row hit is exactly a masked-compatible pair, since
+/// `(pu, pv)` is compatible iff `pv ⊆ pu` and both are candidates. Two
+/// strategies compute the identical set — test each surviving `dst`
+/// pid's row against `src` (`walk_dst`), or union the `src` pids'
+/// opposite-side rows into `acc` and intersect — and the caller picks
+/// the smaller side, so the work tracks `min(|dst|, |src|)` row touches.
+/// Returns `dst`'s new population count.
 fn semi_join_bits(
     dst: &mut [u64],
-    dst_count: usize,
     src: &[u64],
-    src_count: usize,
-    adj: &ContainmentAdjacency,
+    walk_dst: bool,
+    cand: &[u64],
+    relation: &PidContainmentRelation,
     forward: bool,
     acc: &mut [u64],
 ) -> usize {
-    // Candidate screen: pids outside the relation have empty rows and
-    // cannot survive; one word-parallel AND clears them all before any
-    // per-pid work. (The per-row `None` checks below make this redundant
-    // for correctness — it only saves the per-bit walks.)
-    words::and_assign(dst, adj.candidates());
-    if dst_count <= src_count {
+    // Candidate screen: one word-parallel AND clears every pid that
+    // fails the edge's mask before any per-pid work.
+    words::and_assign(dst, cand);
+    let row = |i: usize, fwd: bool| {
+        if fwd {
+            relation.forward_row(i)
+        } else {
+            relation.reverse_row(i)
+        }
+    };
+    if walk_dst {
         for (wi, word) in dst.iter_mut().enumerate() {
             let mut w = *word;
             let mut keep = w;
             while w != 0 {
                 let b = w.trailing_zeros();
                 w &= w - 1;
-                let pid = Pid::from_index(wi * 64 + b as usize);
-                let row = if forward {
-                    adj.forward_bits(pid)
-                } else {
-                    adj.reverse_bits(pid)
-                };
-                if !row.is_some_and(|r| words::intersects(r, src)) {
+                if !words::intersects(row(wi * 64 + b as usize, forward), src) {
                     keep &= !(1u64 << b);
                 }
             }
@@ -735,15 +616,7 @@ fn semi_join_bits(
     } else {
         acc.fill(0);
         for v in words::ones(src) {
-            let pid = Pid::from_index(v);
-            let row = if forward {
-                adj.reverse_bits(pid)
-            } else {
-                adj.forward_bits(pid)
-            };
-            if let Some(r) = row {
-                words::or_assign(acc, r);
-            }
+            words::or_assign(acc, row(v, !forward));
         }
         words::and_assign(dst, acc);
     }
@@ -1001,8 +874,9 @@ mod tests {
                     max_join_edges: Some(max_edges),
                 };
                 let state = BudgetState::start(&budget);
+                let mut front = JoinIndexReader::new(&index);
                 let bitmap =
-                    path_join_bitmap_planned(&s, &query, &plan, &index, None, None, Some(&state));
+                    path_join_bitmap_planned(&s, &query, &plan, &mut front, None, Some(&state));
                 assert_eq!(state.edges_charged(), charged, "{q} max_edges={max_edges}");
                 assert_eq!(
                     state.exhausted().is_some(),
@@ -1015,6 +889,65 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The relation rows are unmasked, so each pop must screen the first
+    /// semi-join's source before reading rows against it. Here the edge
+    /// `(B, Z)` pops before `(A, B)` (the node ids put `B` before `A`) and
+    /// leaves `B` holding only the `B` under `X`: a pid contained in
+    /// `A`'s that fails the `A/B` child mask. After the third pop — the
+    /// first of `(A, B)` — `A` must already be empty; an unscreened
+    /// source would let that non-candidate `B` keep `A` alive.
+    #[test]
+    fn first_semi_join_screens_its_source() {
+        use crate::serve::Budget;
+        use xpe_xpath::{QueryEdge, QueryNode};
+
+        let doc = xpe_xml::parse_document("<R><A><B/><X><B><Z/></B></X></A></R>").unwrap();
+        let s = Summary::build(&doc, SummaryConfig::default());
+        let node = |tag: &str, edges: &[(Axis, usize)]| QueryNode {
+            tag: tag.into(),
+            edges: edges
+                .iter()
+                .map(|&(axis, to)| QueryEdge {
+                    axis,
+                    to: QueryNodeId::from_index(to),
+                })
+                .collect(),
+            constraints: Vec::new(),
+        };
+        // //R//A/B/Z with ids R=0, B=1, A=2, Z=3: the plan's edges run
+        // (R, A), (B, Z), (A, B).
+        let query = Query::new(
+            vec![
+                node("R", &[(Axis::Descendant, 2)]),
+                node("B", &[(Axis::Child, 3)]),
+                node("A", &[(Axis::Child, 1)]),
+                node("Z", &[]),
+            ],
+            Axis::Descendant,
+            QueryNodeId::from_index(3),
+        )
+        .unwrap();
+        let plan = QueryPlan::build(&s, &query);
+        let index = JoinIndexCache::new();
+        let state = BudgetState::start(&Budget {
+            deadline: None,
+            max_join_edges: Some(3),
+        });
+        let mut front = JoinIndexReader::new(&index);
+        let three_pops =
+            path_join_bitmap_planned(&s, &query, &plan, &mut front, None, Some(&state));
+        assert!(
+            state.exhausted().is_some(),
+            "the fixpoint needs a fourth pop"
+        );
+        let a = QueryNodeId::from_index(2);
+        assert_eq!(three_pops.pids(a).count(), 0, "A kept by a non-candidate B");
+        // The full fixpoint empties every node, as the oracle does.
+        let full = path_join_bitmap(&s, &query, &index, None);
+        assert_eq!(path_join(&s, &query).lists, full.lists);
+        assert!(full.lists.iter().all(Vec::is_empty));
     }
 
     #[test]

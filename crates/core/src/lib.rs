@@ -60,8 +60,8 @@ pub use estcache::{
 pub use estimator::Estimator;
 pub use invariant::{finalize_estimate, safe_div};
 pub use join::{
-    path_join, path_join_bitmap, path_join_bitmap_planned, JoinKernel, JoinMemo, JoinPhaseStats,
-    JoinResult, JoinScratch,
+    path_join, path_join_bitmap, path_join_bitmap_planned, JoinKernel, JoinPhaseStats, JoinResult,
+    JoinScratch,
 };
 pub use joincache::{skeleton_key, JoinCache, SkeletonKey, WorkerJoinCache};
 pub use metrics::{mean_relative_error, relative_error, ErrorStats};

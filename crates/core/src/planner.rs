@@ -38,13 +38,13 @@ pub struct PlanEdge {
 /// functions of `(summary, query skeleton)`: each node's tag-name →
 /// [`TagId`] resolution (a string hash per node per join, and again per
 /// edge endpoint), the flattening of the query's structural edges, and
-/// the root-pinning decision. A `QueryPlan` performs them once; the
-/// estimator memoizes plans alongside [`JoinCache`](crate::JoinCache)
-/// entries by skeleton key, so a repeated skeleton never re-resolves.
+/// the root-pinning decision. A `QueryPlan` performs them once per join
+/// the estimator runs; a [`JoinCache`](crate::JoinCache) hit on the
+/// skeleton skips the plan together with the join.
 ///
 /// Plans are only valid against the summary they were built from — the
-/// estimator guarantees that pairing by construction (it lives as long as
-/// its summary borrow and keys plans by skeleton in a per-summary cache).
+/// estimator guarantees that pairing by construction (it builds each plan
+/// from its own summary borrow right before the join).
 #[derive(Clone, Debug)]
 pub struct QueryPlan {
     /// Per query node (by index): its tag resolved in the summary, or

@@ -3,9 +3,9 @@
 //!
 //! `path_join` is the paper's Figure 3 verbatim. `path_join_bitmap`
 //! replaces the per-node `(Pid, f64)` candidate lists with dense
-//! pid-index bitmaps, resolves containment edges through the adjacency
-//! index's forward/reverse row bitmaps, pre-screens each semi-join with
-//! the per-(tag,axis) candidate bitmap, and rebuilds the surviving lists
+//! pid-index bitmaps, resolves containment edges through the summary's
+//! forward/reverse relation rows, screens both sides of each semi-join
+//! with the per-(tag,axis) candidate bitmap, and rebuilds the surviving lists
 //! from the p-histogram at the end. Because the path join converges to a
 //! greatest fixpoint, every correct kernel must agree **bit-for-bit** —
 //! same pids, same order, same `f64` frequency bits. These tests assert
@@ -27,7 +27,7 @@ use xpe_core::{
 };
 use xpe_datagen::{random_document, RandomDocConfig};
 use xpe_diff::{random_query, tag_paths};
-use xpe_pathid::{JoinIndexCache, Pid};
+use xpe_pathid::{JoinIndexCache, JoinIndexReader, Pid};
 use xpe_synopsis::{Summary, SummaryConfig};
 
 /// One random `(document, queries)` scenario derived from a master seed —
@@ -62,7 +62,7 @@ fn as_bits(lists: &[Vec<(Pid, f64)>]) -> Vec<Vec<(Pid, u64)>> {
 /// bits (> 64 `u64` words): 70 blocks of nested `m` elements, each with
 /// 60 uniquely-tagged leaves, for 4200 distinct root-to-leaf paths. The
 /// random scenarios above cap tag count and depth, so interner widths
-/// stay far below the adjacency builders' 64-word support-signature
+/// stay far below the relation builder's 64-word support-signature
 /// reach; this is the regime where the signature aliases word `j` to bit
 /// `j % 64` and an unsound truncation once admitted false containment
 /// pairs between pids living in low and high words.
@@ -108,8 +108,8 @@ fn wide_scenario() -> (Summary, Vec<xpe_xpath::Query>) {
     (summary, queries)
 }
 
-/// Asserts that every warm execution path — reused per-estimator flat
-/// memos, cached prepared plans, and the engine's shared join cache at
+/// Asserts that every warm execution path — reused per-estimator index
+/// fronts, cached prepared plans, and the engine's shared join cache at
 /// 1/2/4 worker threads — reproduces the bit pattern of a completely
 /// cold estimator, for every kernel. The cold reference rebuilds the
 /// `Estimator` per query so no memo, plan, or cache entry survives
@@ -126,8 +126,8 @@ fn check_warm_paths(summary: &Summary, queries: &[xpe_xpath::Query]) {
                     .to_bits()
             })
             .collect();
-        // One reused serial estimator: warm flat memos and adjacency
-        // caches, but no join/plan cache in front of the kernel.
+        // One reused serial estimator: a warm index front and join index,
+        // but no join/plan cache in front of the kernel.
         let est = Estimator::new(summary).with_kernel(kernel);
         for pass in 0..2 {
             for (query, &want) in queries.iter().zip(&cold) {
@@ -139,7 +139,7 @@ fn check_warm_paths(summary: &Summary, queries: &[xpe_xpath::Query]) {
             }
         }
         // Engines add the skeleton-keyed join cache and prepared-plan
-        // reuse; parallel batches add per-worker scratch and memos.
+        // reuse; parallel batches add per-worker scratch and fronts.
         for threads in [1usize, 2, 4] {
             let engine = EstimationEngine::new(summary)
                 .with_kernel(kernel)
@@ -159,9 +159,9 @@ fn check_warm_paths(summary: &Summary, queries: &[xpe_xpath::Query]) {
     }
 }
 
-/// Warm plans and memos on the wide (> 64-word) interner: the flat
-/// memo tables and packed adjacency keys must index correctly far past
-/// the support-signature reach.
+/// Warm plans and index fronts on the wide (> 64-word) interner: the
+/// candidate bitmaps and relation rows must index correctly far past the
+/// support-signature reach.
 #[test]
 fn warm_plans_are_bit_identical_on_wide_interner() {
     let (summary, queries) = wide_scenario();
@@ -224,8 +224,7 @@ proptest! {
                 &summary,
                 query,
                 &plan,
-                &index,
-                None,
+                &mut JoinIndexReader::new(&index),
                 Some(&mut scratch),
                 Some(&budget),
             );
@@ -323,7 +322,7 @@ fn forced_flushes_are_bit_identical_on_wide_interner() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Warm prepared plans, flat per-estimator memos, and the shared
+    /// Warm prepared plans, per-estimator index fronts, and the shared
     /// join cache never perturb a single estimate bit, for any kernel
     /// and 1/2/4 worker threads, on random documents and twig queries.
     #[test]

@@ -1,28 +1,33 @@
-//! Precomputed containment adjacency — the bitmap join kernel's lookup
-//! structure.
+//! The bitmap join kernel's lookup structures: one containment relation
+//! per summary and one candidate bitmap per edge key.
 //!
 //! The path join's inner loop asks, per query edge, "which surviving
 //! `(pid_u, pid_v)` pairs pass the §2 containment + tag-relationship
-//! test?". With a [`relation_mask`] that is still an `O(|list_u| ·
-//! |list_v|)` scan of multi-word bit operations, repeated on every
-//! fixpoint pass of every query. But the answer per pair depends only on
-//! `(pid_u, pid_v, tag_u, tag_v, axis-class)` and the summary — not on
-//! the query — so a whole workload keeps re-deriving the same relation.
+//! test?". A pair passes iff `pv ⊆ pu` and `pv` intersects the edge's
+//! [`relation_mask`]. The first half depends only on the interner, the
+//! second only on `(tag_u, tag_v, axis)`, so neither is recomputed per
+//! query:
 //!
-//! A [`ContainmentAdjacency`] materializes that relation once per
-//! `(tag_u, tag_v, child_axis)` key: for every pid that passes the key's
-//! mask screen it stores a pid-index *bit row* of compatible partner
-//! pids, in both directions. The join's pruning step then becomes a
-//! word-parallel semi-join — "does this pid's bit row intersect the
-//! surviving set on the other side?" — instead of scanning all candidate
-//! pairs with 344-bit containment tests.
+//! * [`PidContainmentRelation`] holds `pv ⊆ pu` for every pid pair as
+//!   forward and reverse bit rows, built once per summary.
+//! * [`JoinIndexCache`] memoizes, per `(tag_u, tag_v, child_axis)` key,
+//!   the *candidate bitmap*: the pids whose id intersects the key's mask.
+//!   Beside them it memoizes the join's per-`(tag, rooted)` seed bitmaps.
 //!
-//! [`JoinIndexCache`] memoizes adjacencies (and the join's seed bitmaps)
-//! per summary, and counts builds and build wall-time so the bench
-//! harness can report amortization (`adjacency_build_ms` in the perf
-//! snapshot).
+//! `pu ⊇ pv` and `pv ∩ mask ≠ ∅` force `pu ∩ mask ≠ ∅`, so `(pu, pv)` is
+//! compatible iff `pv ⊆ pu` and both pids are candidates. A semi-join
+//! whose two sides stay inside the candidates can therefore read the
+//! unmasked relation rows directly — a word-parallel "does this pid's
+//! row intersect the surviving set on the other side?" — and no per-key
+//! row is ever materialized.
+//!
+//! The cache counts edge builds, build wall-time and pair totals so the
+//! bench harness can report amortization (`adjacency_build_ms` in the
+//! perf snapshot). [`JoinIndexReader`] is the lock-free front one
+//! estimator (or one join) reads the cache through.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
+use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
@@ -30,7 +35,8 @@ use std::time::{Duration, Instant};
 use xpe_xml::TagId;
 
 use crate::encoding::EncodingTable;
-use crate::interner::{Pid, PidInterner};
+use crate::handle::HandleMap;
+use crate::interner::PidInterner;
 use crate::rel::relation_mask;
 use crate::slab::PidBitmapSlab;
 use crate::words;
@@ -40,13 +46,14 @@ use crate::words;
 /// Path ids are per-node-instance unions of root-to-leaf path encodings,
 /// so the family is *not* laminar in general — two ids can overlap
 /// without nesting (Figure 1's interner already does). What every
-/// `(tag_u, tag_v, axis)` adjacency shares is the underlying subset
-/// relation `pv ⊆ pu`, which depends only on the interner. Computing it
-/// once per summary turns each per-key build from a quadratic pair scan
-/// into a row copy plus a word-AND with that key's mask candidates.
+/// `(tag_u, tag_v, axis)` edge shares is the underlying subset relation
+/// `pv ⊆ pu`, which depends only on the interner. Computing it once per
+/// summary leaves each per-key build a mask screen over the pids: the
+/// join kernel reads these rows directly and keeps both sides of every
+/// semi-join inside the key's candidates.
 ///
-/// Rows use the dense pid-index bitmap layout (LSB-first, like
-/// [`ContainmentAdjacency::candidates`]): `set_words` words per pid, bit
+/// Rows use the dense pid-index bitmap layout (LSB-first, like the
+/// candidate bitmaps): `set_words` words per pid, bit
 /// `v` of forward row `u` set iff `pv ⊆ pu` (non-strict, so every
 /// nonempty pid relates at least to itself). Empty ids get empty rows —
 /// they fail every mask screen and contain nothing nonempty.
@@ -166,260 +173,92 @@ impl PidContainmentRelation {
     }
 }
 
-/// The compatible-pair relation of one `(tag_u, tag_v, child_axis)` key,
-/// stored as forward (`pid_u → pid_v`) and reverse (`pid_v → pid_u`)
-/// bit rows over the interner's dense pid indices.
-///
-/// `(pu, pv)` is in the relation iff
-/// [`axis_compatible_masked`](crate::axis_compatible_masked) holds for the
-/// key's relation mask — the index never changes which pairs pass, only
-/// how fast the question is answered.
-#[derive(Debug)]
-pub struct ContainmentAdjacency {
-    /// Candidate bitmap over dense pid indices (LSB-first index layout):
-    /// bit `i` set iff pid `i` survives the relation-mask screen.
-    /// Containment-or-equality is reflexive, so every screened-in pid
-    /// pairs at least with itself — the candidates are *exactly* the pids
-    /// with nonempty rows, on both sides.
-    cand: Vec<u64>,
-    /// Words per pid-index bitmap (`pid_count.div_ceil(64)`).
-    set_words: usize,
-    /// Dense pid index → row in `fwd_bits`/`rev_bits`; `u32::MAX` when
-    /// the pid was screened out (its row is empty).
-    row_of: Vec<u32>,
-    /// Forward rows: `set_words` words per candidate, bit `v` set iff
-    /// `(u, v)` is in the relation.
-    fwd_bits: Vec<u64>,
-    /// Reverse rows: `set_words` words per candidate, bit `u` set iff
-    /// `(u, v)` is in the relation.
-    rev_bits: Vec<u64>,
-}
-
-impl ContainmentAdjacency {
-    /// Materializes the relation for `(tag_u, tag_v, child_axis)` over
-    /// every interned pid. `O(#pids² × id words)` once, versus the same
-    /// cost *per query edge* for the scan it replaces.
-    pub fn build(
-        encoding: &EncodingTable,
-        pids: &PidInterner,
-        tag_u: TagId,
-        tag_v: TagId,
-        child_axis: bool,
-    ) -> Self {
-        let slab = PidBitmapSlab::from_interner(pids);
-        let relation = PidContainmentRelation::build(&slab);
-        Self::build_with_layout(encoding, pids, &slab, &relation, tag_u, tag_v, child_axis)
-    }
-
-    /// [`build`](Self::build) against a prebuilt slab *and* containment
-    /// relation, so a cache amortizes both across every `(tag_u, tag_v,
-    /// axis)` key of a summary. With the subset relation precomputed the
-    /// fill is a row copy and a word-AND per mask survivor: `(pu, pv)` is
-    /// compatible iff `pv ⊆ pu` **and** `pv ∩ mask ≠ ∅`, so each
-    /// adjacency row is the relation row masked by the key's candidate
-    /// bitmap. No containment test runs at all.
-    pub fn build_with_layout(
-        encoding: &EncodingTable,
-        pids: &PidInterner,
-        slab: &PidBitmapSlab,
-        relation: &PidContainmentRelation,
-        tag_u: TagId,
-        tag_v: TagId,
-        child_axis: bool,
-    ) -> Self {
-        debug_assert_eq!(slab.rows(), pids.len(), "slab/interner mismatch");
-        debug_assert_eq!(relation.set_words(), pids.len().div_ceil(64));
-        let mask = relation_mask(encoding, tag_u, tag_v, child_axis);
-        let mask_words = mask.words();
-        let n = pids.len();
-        let set_words = n.div_ceil(64);
-
-        // A compatible pair needs `pv ∩ mask ≠ ∅`, and `pu ⊇ pv` then
-        // forces `pu ∩ mask ≠ ∅` as well — so only pids intersecting the
-        // mask can appear on *either* side, and only they get rows.
-        let ok: Vec<usize> = (0..n)
-            .filter(|&i| words::intersects(slab.row_words(i), mask_words))
-            .collect();
-        let m = ok.len();
-        let mut cand = vec![0u64; set_words];
-        let mut row_of = vec![u32::MAX; n];
-        for (r, &i) in ok.iter().enumerate() {
+/// The candidate bitmap of one `(tag_u, tag_v, child_axis)` key — bit
+/// `i` set iff pid `i`'s id intersects the key's [`relation_mask`] — and
+/// the key's compatible-pair count, `Σ popcount(forward_row(u) ∧ cand)`
+/// over the candidates `u`.
+fn edge_candidates(
+    encoding: &EncodingTable,
+    slab: &PidBitmapSlab,
+    relation: &PidContainmentRelation,
+    tag_u: TagId,
+    tag_v: TagId,
+    child_axis: bool,
+) -> (Vec<u64>, u64) {
+    let mask = relation_mask(encoding, tag_u, tag_v, child_axis);
+    let mut cand = vec![0u64; relation.set_words()];
+    for i in 0..slab.rows() {
+        if words::intersects(slab.row_words(i), mask.words()) {
             words::set_bit(&mut cand, i);
-            row_of[i] = r as u32;
-        }
-
-        // Forward row of a survivor `u` is `relation.forward_row(u) ∩
-        // cand`: the AND removes descendants that fail the mask. The
-        // reverse AND is a no-op by the screen argument (every superset
-        // of a survivor intersects the mask too) but keeps the two fills
-        // uniform.
-        let mut fwd_bits = vec![0u64; m * set_words];
-        let mut rev_bits = vec![0u64; m * set_words];
-        for (r, &i) in ok.iter().enumerate() {
-            let frow = &mut fwd_bits[r * set_words..(r + 1) * set_words];
-            frow.copy_from_slice(relation.forward_row(i));
-            words::and_assign(frow, &cand);
-
-            let rrow = &mut rev_bits[r * set_words..(r + 1) * set_words];
-            rrow.copy_from_slice(relation.reverse_row(i));
-            words::and_assign(rrow, &cand);
-        }
-
-        ContainmentAdjacency {
-            cand,
-            set_words,
-            row_of,
-            fwd_bits,
-            rev_bits,
         }
     }
-
-    /// Candidate bitmap over dense pid indices (LSB-first index layout,
-    /// [`set_words`](Self::set_words) words): bit `i` set iff pid `i`
-    /// has a nonempty row — on either side, the sets coincide by
-    /// reflexivity. The bitmap kernel ANDs this into its surviving sets
-    /// so "which pids can pass this edge" is word-parallel.
-    #[inline]
-    pub fn candidates(&self) -> &[u64] {
-        &self.cand
-    }
-
-    /// Words per pid-index bitmap row (`pid_count.div_ceil(64)`).
-    #[inline]
-    pub fn set_words(&self) -> usize {
-        self.set_words
-    }
-
-    /// Bitmap of pids compatible as the descendant side of `pid_u`, or
-    /// `None` when `pid_u` was screened out (its row is empty).
-    #[inline]
-    pub fn forward_bits(&self, pid_u: Pid) -> Option<&[u64]> {
-        let r = self.row_of[pid_u.index()] as usize;
-        (r != u32::MAX as usize)
-            .then(|| &self.fwd_bits[r * self.set_words..(r + 1) * self.set_words])
-    }
-
-    /// Bitmap of pids compatible as the ancestor side of `pid_v`, or
-    /// `None` when `pid_v` was screened out.
-    #[inline]
-    pub fn reverse_bits(&self, pid_v: Pid) -> Option<&[u64]> {
-        let r = self.row_of[pid_v.index()] as usize;
-        (r != u32::MAX as usize)
-            .then(|| &self.rev_bits[r * self.set_words..(r + 1) * self.set_words])
-    }
-
-    /// Number of compatible pairs in the relation: the forward rows'
-    /// total popcount.
-    pub fn pair_count(&self) -> usize {
-        self.fwd_bits.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// Number of pids the index covers (the interner size at build time).
-    pub fn pid_count(&self) -> usize {
-        self.row_of.len()
-    }
+    let pairs = words::ones(&cand)
+        .map(|u| {
+            let row = relation.forward_row(u).iter().zip(&cand);
+            row.map(|(r, c)| u64::from((r & c).count_ones()))
+                .sum::<u64>()
+        })
+        .sum();
+    (cand, pairs)
 }
 
-/// Pass-through hasher for packed-`u64` cache keys: one odd-constant
-/// multiply (Fibonacci hashing) spreads the packed low bits across the
-/// word, replacing SipHash's per-byte rounds on every cache probe. The
-/// keys are injective per map (see the packing at each call site), so
-/// equality still compares full keys — the hash only has to scatter,
-/// never to disambiguate.
-#[derive(Debug, Default)]
-struct PackedKeyHasher(u64);
+/// Key of one memoized bitmap, shared by the snapshot map and the
+/// in-flight claims. Kinds 0/1 are edge candidates (the kind is the
+/// child-axis bit, the payload `(tag_u << 32) | tag_v`); kinds 2/3 are
+/// seeds (`2 + rooted`, the payload the tag index). The packing is
+/// injective for every representable tag index.
+type BitmapKey = (u8, u64);
 
-impl std::hash::Hasher for PackedKeyHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, _bytes: &[u8]) {
-        unreachable!("packed cache keys hash through write_u64 only")
-    }
-
-    fn write_u64(&mut self, key: u64) {
-        self.0 = key.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    }
+fn edge_key(tag_u: TagId, tag_v: TagId, child_axis: bool) -> BitmapKey {
+    (
+        u8::from(child_axis),
+        ((tag_u.index() as u64) << 32) | tag_v.index() as u64,
+    )
 }
 
-/// A map keyed by pre-packed `u64`s through [`PackedKeyHasher`].
-type PackedMap<V> = HashMap<u64, V, std::hash::BuildHasherDefault<PackedKeyHasher>>;
+fn seed_key(tag: TagId, rooted: bool) -> BitmapKey {
+    (2 + u8::from(rooted), tag.index() as u64)
+}
 
-/// An immutable view of every adjacency and seed bitmap published so far.
+fn is_edge(key: BitmapKey) -> bool {
+    key.0 < 2
+}
+
+/// A bitmap together with a snapshot that holds it and that snapshot's
+/// epoch, so the caller's reader can adopt the snapshot without a second
+/// lock.
+type Published = (Arc<Vec<u64>>, Arc<JoinIndexSnapshot>, u64);
+
+/// An immutable view of every candidate and seed bitmap published so far.
 ///
 /// The owning [`JoinIndexCache`] publishes a fresh snapshot (map clone +
 /// insert + `Arc` swap under its mutex) each time a cold build completes,
-/// and bumps its epoch. Readers hold one `Arc` per observed epoch and
-/// probe it with plain hash lookups — no lock, no atomic RMW — which is
-/// what lets warm joins on the per-estimator memos stay lock-free even
-/// when the cache is shared by every worker of a batch.
-#[derive(Debug, Default)]
-pub struct JoinIndexSnapshot {
-    /// Adjacencies keyed by `(tag_u << 32) | tag_v`, one map per axis
-    /// (index 1 = child) — splitting on the axis keeps the packed key
-    /// injective for every representable tag index.
-    maps: [PackedMap<Arc<ContainmentAdjacency>>; 2],
-    /// Seed bitmaps keyed by `(tag << 1) | rooted`.
-    seeds: PackedMap<Arc<Vec<u64>>>,
-}
+/// and bumps its epoch. A [`JoinIndexReader`] holds one `Arc` per
+/// observed epoch and probes it with plain hash lookups — no lock, no
+/// atomic RMW — which is what keeps warm joins lock-free even when the
+/// cache is shared by every worker of a batch.
+type JoinIndexSnapshot = HandleMap<BitmapKey, Arc<Vec<u64>>>;
 
-impl JoinIndexSnapshot {
-    fn adjacency_key(tag_u: TagId, tag_v: TagId) -> u64 {
-        ((tag_u.index() as u64) << 32) | tag_v.index() as u64
-    }
-
-    fn seed_key(tag: TagId, rooted: bool) -> u64 {
-        ((tag.index() as u64) << 1) | u64::from(rooted)
-    }
-
-    /// The published adjacency for `(tag_u, tag_v, child_axis)`, if any.
-    #[inline]
-    pub fn adjacency(
-        &self,
-        tag_u: TagId,
-        tag_v: TagId,
-        child_axis: bool,
-    ) -> Option<&Arc<ContainmentAdjacency>> {
-        self.maps[usize::from(child_axis)].get(&Self::adjacency_key(tag_u, tag_v))
-    }
-
-    /// The published seed bitmap for `(tag, rooted)`, if any.
-    #[inline]
-    pub fn seed(&self, tag: TagId, rooted: bool) -> Option<&Arc<Vec<u64>>> {
-        self.seeds.get(&Self::seed_key(tag, rooted))
-    }
-
-    /// Number of published adjacencies.
-    pub fn len(&self) -> usize {
-        self.maps.iter().map(HashMap::len).sum()
-    }
-
-    /// Whether no adjacency has been published.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// Epoch-published memo table over [`ContainmentAdjacency::build`], keyed
-/// like the relation-mask cache by `(tag_u, tag_v, child_axis)`.
+/// Epoch-published memo table of the join kernel's bitmaps for one
+/// summary: a candidate bitmap per `(tag_u, tag_v, child_axis)` edge key,
+/// a seed bitmap per `(tag, rooted)`, and the summary's slab and
+/// [`PidContainmentRelation`], built on first use.
 ///
-/// Reads go through an immutable [`JoinIndexSnapshot`]: grab it once via
-/// [`snapshot`](Self::snapshot), revalidate with a single
-/// [`epoch`](Self::epoch) load, and probe lock-free until the epoch
-/// moves. The mutex guards publication only — a miss builds its
-/// adjacency *outside* the lock, then rechecks, clones the current maps,
-/// inserts, swaps the `Arc`, and bumps the epoch. A per-key in-flight
-/// guard keeps same-key cold misses from duplicating work: the first
-/// worker claims the key and builds, racers wait on a condvar and then
-/// read the published entry, and misses on *different* keys still build
-/// fully in parallel. The publish-side recheck stays as a belt-and-braces
+/// Reads go through a [`JoinIndexReader`], which holds an immutable
+/// snapshot of the map and revalidates it with a single
+/// [`epoch`](Self::epoch) load. The mutex guards publication only — a
+/// miss builds its bitmap *outside* the lock, then rechecks, clones the
+/// current map, inserts, swaps the `Arc`, and bumps the epoch. A per-key
+/// in-flight guard keeps same-key cold misses from duplicating work: the
+/// first worker claims the key and builds, racers wait on a condvar and
+/// then read the published entry, and misses on *different* keys still
+/// build fully in parallel. The publish-side recheck stays as a
 /// first-publication-wins backstop (a claim released by a panicking
 /// builder can let a second attempt run). Builds are pure functions of
 /// the key and the (immutable) summary structures, so every reader
-/// observes the same rows regardless of which epoch it joined at. Build
-/// count, build attempts, cumulative build time, pair totals, and mutex
-/// acquisitions are tracked for the perf snapshot.
+/// observes the same bitmaps regardless of which epoch it joined at.
+/// Edge build count, build attempts, cumulative build time, pair totals,
+/// and mutex acquisitions are tracked for the perf snapshot.
 #[derive(Debug, Default)]
 pub struct JoinIndexCache {
     /// The current snapshot; the mutex guards publication, not reads —
@@ -428,30 +267,28 @@ pub struct JoinIndexCache {
     /// Bumped (release) after every publication; readers revalidate
     /// their held snapshot with one acquire load.
     epoch: AtomicU64,
-    /// Arena layout of the summary's interner, built on first use and
-    /// shared by every adjacency build (the cache is per-summary, like
-    /// the adjacencies themselves).
-    slab: OnceLock<Arc<PidBitmapSlab>>,
+    /// Arena layout of the summary's interner, built on first use.
+    slab: OnceLock<PidBitmapSlab>,
     /// Containment relation over the slab rows, built on first use and
-    /// shared by every adjacency build.
-    relation: OnceLock<Arc<PidContainmentRelation>>,
+    /// read by every join.
+    relation: OnceLock<PidContainmentRelation>,
     builds: AtomicU64,
     build_nanos: AtomicU64,
     pairs: AtomicU64,
     locks: AtomicU64,
-    /// Keys (adjacency or seed) whose build is currently running. A cold
-    /// miss claims its key here before building; racing workers on the
-    /// *same* key wait on [`inflight_cv`](Self::inflight_cv) and then
-    /// re-probe the snapshot instead of duplicating the build. Different
-    /// keys still build fully in parallel.
-    inflight: Mutex<HashSet<(u8, u64)>>,
+    /// Keys whose build is currently running. A cold miss claims its key
+    /// here before building; racing workers on the *same* key wait on
+    /// [`inflight_cv`](Self::inflight_cv) and then re-probe the snapshot
+    /// instead of duplicating the build. Different keys still build
+    /// fully in parallel.
+    inflight: Mutex<HashSet<BitmapKey>>,
     /// Wakes same-key waiters when a claim is released (publish or
     /// panic — the claim is a drop guard).
     inflight_cv: Condvar,
-    /// Adjacency builds *started* (claimed and run), published or not.
-    /// With the in-flight guard this equals [`builds`](Self::builds)
-    /// in the absence of builder panics; the serving regression tests
-    /// assert exactly that.
+    /// Edge builds *started* (claimed and run), published or not. With
+    /// the in-flight guard this equals [`builds`](Self::builds) in the
+    /// absence of builder panics; the serving regression tests assert
+    /// exactly that.
     build_attempts: AtomicU64,
 }
 
@@ -461,7 +298,7 @@ pub struct JoinIndexCache {
 /// strand them.
 struct InflightClaim<'a> {
     cache: &'a JoinIndexCache,
-    key: (u8, u64),
+    key: BitmapKey,
 }
 
 impl Drop for InflightClaim<'_> {
@@ -490,10 +327,14 @@ impl JoinIndexCache {
         self.epoch.load(Ordering::Acquire)
     }
 
-    /// The current snapshot (one mutex acquisition; probe the returned
-    /// `Arc` lock-free afterwards).
-    pub fn snapshot(&self) -> Arc<JoinIndexSnapshot> {
-        Arc::clone(&self.lock_published())
+    /// The current snapshot and its epoch, read consistently under the
+    /// publication mutex (one acquisition; probe the returned `Arc`
+    /// lock-free afterwards).
+    fn snapshot(&self) -> (Arc<JoinIndexSnapshot>, u64) {
+        let published = self.lock_published();
+        // The epoch is only ever written under this mutex, so the pair
+        // is consistent.
+        (Arc::clone(&published), self.epoch.load(Ordering::Relaxed))
     }
 
     fn lock_published(&self) -> MutexGuard<'_, Arc<JoinIndexSnapshot>> {
@@ -505,7 +346,7 @@ impl JoinIndexCache {
 
     /// Tries to claim an in-flight key; `None` means another worker is
     /// already building it.
-    fn try_claim(&self, key: (u8, u64)) -> Option<InflightClaim<'_>> {
+    fn try_claim(&self, key: BitmapKey) -> Option<InflightClaim<'_>> {
         let mut set = self.inflight.lock().unwrap_or_else(PoisonError::into_inner);
         // `then`, not `then_some`: the guard's constructor must stay
         // lazy. An eagerly built claim would be dropped right here on
@@ -517,7 +358,7 @@ impl JoinIndexCache {
     /// Blocks until `key`'s current builder releases its claim (or a
     /// short timeout elapses, bounding any missed-wakeup window). The
     /// caller re-probes the snapshot afterwards.
-    fn wait_inflight(&self, key: (u8, u64)) {
+    fn wait_inflight(&self, key: BitmapKey) {
         let set = self.inflight.lock().unwrap_or_else(PoisonError::into_inner);
         if set.contains(&key) {
             let _ = self
@@ -527,233 +368,311 @@ impl JoinIndexCache {
         }
     }
 
-    /// The adjacency for `(tag_u, tag_v, child_axis)`, building and
-    /// publishing it on first use. Concurrent cold calls on the same key
-    /// coalesce into one build; other keys build in parallel.
-    pub fn get(
-        &self,
-        encoding: &EncodingTable,
-        pids: &PidInterner,
-        tag_u: TagId,
-        tag_v: TagId,
-        child_axis: bool,
-    ) -> Arc<ContainmentAdjacency> {
-        let claim_key = (
-            u8::from(child_axis),
-            JoinIndexSnapshot::adjacency_key(tag_u, tag_v),
-        );
+    /// The one claim → build → recheck → publish loop behind every
+    /// bitmap. `build` returns the bitmap and, for edge keys, its pair
+    /// count. It runs outside the publish lock, at most once per call and
+    /// never concurrently for one key (a waiter whose builder panicked
+    /// re-runs it). Only edge keys move the build counters.
+    fn get_or_build(&self, key: BitmapKey, build: impl Fn() -> (Vec<u64>, u64)) -> Published {
         loop {
-            if let Some(a) = self.snapshot().adjacency(tag_u, tag_v, child_axis) {
-                return Arc::clone(a);
+            let (snap, epoch) = self.snapshot();
+            if let Some(b) = snap.get(&key) {
+                return (Arc::clone(b), Arc::clone(&snap), epoch);
             }
-            let Some(_claim) = self.try_claim(claim_key) else {
+            let Some(_claim) = self.try_claim(key) else {
                 // Another worker is building this key right now: wait
                 // for its publication instead of duplicating the work,
                 // then re-probe.
-                self.wait_inflight(claim_key);
+                self.wait_inflight(key);
                 continue;
             };
             // Claimed. Re-probe once — the previous holder may have
             // published between our probe and our claim.
-            if let Some(a) = self.snapshot().adjacency(tag_u, tag_v, child_axis) {
-                return Arc::clone(a);
+            let (snap, epoch) = self.snapshot();
+            if let Some(b) = snap.get(&key) {
+                return (Arc::clone(b), Arc::clone(&snap), epoch);
             }
-            // Resolve the shared layout first: the OnceLocks serialize
-            // their own (expensive, once-per-summary) builds without
-            // stalling unrelated publications.
-            let slab = self.slab(pids);
-            let relation = self.relation(pids);
-            // Build outside the publish lock: the mutex guards
-            // publication only, so a long adjacency build never convoys
-            // other workers' snapshot refreshes. The claim guarantees at
-            // most one same-key build at a time; the publish-side
-            // recheck below stays as the first-publication-wins backstop
-            // for claims released by a panicking builder.
-            self.build_attempts.fetch_add(1, Ordering::Relaxed);
+            if is_edge(key) {
+                self.build_attempts.fetch_add(1, Ordering::Relaxed);
+            }
             let t0 = Instant::now();
-            let built = Arc::new(ContainmentAdjacency::build_with_layout(
-                encoding, pids, &slab, &relation, tag_u, tag_v, child_axis,
-            ));
+            let (bits, pairs) = build();
             let build_nanos = t0.elapsed().as_nanos() as u64;
             let mut published = self.lock_published();
-            if let Some(a) = published.adjacency(tag_u, tag_v, child_axis) {
-                return Arc::clone(a);
+            if let Some(b) = published.get(&key) {
+                let epoch = self.epoch.load(Ordering::Relaxed);
+                return (Arc::clone(b), Arc::clone(&published), epoch);
             }
-            self.builds.fetch_add(1, Ordering::Relaxed);
-            self.build_nanos.fetch_add(build_nanos, Ordering::Relaxed);
-            self.pairs
-                .fetch_add(built.pair_count() as u64, Ordering::Relaxed);
-            let mut next = JoinIndexSnapshot {
-                maps: published.maps.clone(),
-                seeds: published.seeds.clone(),
-            };
-            next.maps[usize::from(child_axis)].insert(
-                JoinIndexSnapshot::adjacency_key(tag_u, tag_v),
-                Arc::clone(&built),
-            );
-            *published = Arc::new(next);
-            self.epoch.fetch_add(1, Ordering::Release);
-            return built;
+            if is_edge(key) {
+                self.builds.fetch_add(1, Ordering::Relaxed);
+                self.build_nanos.fetch_add(build_nanos, Ordering::Relaxed);
+                self.pairs.fetch_add(pairs, Ordering::Relaxed);
+            }
+            let built = Arc::new(bits);
+            let mut next = JoinIndexSnapshot::clone(&published);
+            next.insert(key, Arc::clone(&built));
+            let next = Arc::new(next);
+            *published = Arc::clone(&next);
+            let epoch = self.epoch.fetch_add(1, Ordering::Release) + 1;
+            return (built, next, epoch);
         }
     }
 
     /// The memoized arena layout of `pids`, building it on first use.
     /// Callers must always pass the same interner (the cache is
     /// per-summary); the first call fixes the layout.
-    pub fn slab(&self, pids: &PidInterner) -> Arc<PidBitmapSlab> {
-        Arc::clone(
-            self.slab
-                .get_or_init(|| Arc::new(PidBitmapSlab::from_interner(pids))),
-        )
+    fn slab(&self, pids: &PidInterner) -> &PidBitmapSlab {
+        self.slab.get_or_init(|| PidBitmapSlab::from_interner(pids))
     }
 
     /// The memoized containment relation of `pids`, building it (and the
     /// slab, if cold) on first use.
-    pub fn relation(&self, pids: &PidInterner) -> Arc<PidContainmentRelation> {
-        if let Some(r) = self.relation.get() {
-            return Arc::clone(r);
-        }
+    ///
+    /// # Panics
+    ///
+    /// If `pids` has a different pid count than the interner the layout
+    /// was built from. The kernel indexes relation rows by the summary's
+    /// pid indices, so a cache warmed on one summary and paired with
+    /// another would answer from the wrong relation.
+    pub fn relation(&self, pids: &PidInterner) -> &PidContainmentRelation {
         let slab = self.slab(pids);
-        Arc::clone(
-            self.relation
-                .get_or_init(|| Arc::new(PidContainmentRelation::build(&slab))),
-        )
+        assert!(
+            slab.rows() == pids.len(),
+            "JoinIndexCache paired with a different summary: built for {} pids, \
+             queried with {}",
+            slab.rows(),
+            pids.len()
+        );
+        self.relation
+            .get_or_init(|| PidContainmentRelation::build(slab))
     }
 
-    /// The memoized seed bitmap for `(tag, rooted)`, running `build` on
-    /// first use. The build runs outside the publish lock; the per-key
-    /// in-flight guard coalesces concurrent cold calls (a waiter whose
-    /// builder panicked re-runs `build`, so the closure may run more
-    /// than once across failures — never concurrently for one key).
-    pub fn seed_bitmap(
-        &self,
-        tag: TagId,
-        rooted: bool,
-        build: impl Fn() -> Vec<u64>,
-    ) -> Arc<Vec<u64>> {
-        // Namespaces 2/3 keep seed claims disjoint from adjacency claims
-        // (which use the axis bit, 0/1).
-        let claim_key = (2 + u8::from(rooted), tag.index() as u64);
-        loop {
-            if let Some(s) = self.snapshot().seed(tag, rooted) {
-                return Arc::clone(s);
-            }
-            let Some(_claim) = self.try_claim(claim_key) else {
-                self.wait_inflight(claim_key);
-                continue;
-            };
-            if let Some(s) = self.snapshot().seed(tag, rooted) {
-                return Arc::clone(s);
-            }
-            // Built outside the publish lock; the recheck below is the
-            // first-publication-wins backstop, as in [`get`](Self::get).
-            let built = Arc::new(build());
-            let mut published = self.lock_published();
-            if let Some(s) = published.seed(tag, rooted) {
-                return Arc::clone(s);
-            }
-            let mut next = JoinIndexSnapshot {
-                maps: published.maps.clone(),
-                seeds: published.seeds.clone(),
-            };
-            next.seeds
-                .insert(JoinIndexSnapshot::seed_key(tag, rooted), Arc::clone(&built));
-            *published = Arc::new(next);
-            self.epoch.fetch_add(1, Ordering::Release);
-            return built;
-        }
-    }
-
-    /// Number of published adjacencies.
+    /// Number of published edge keys (seeds are not counted).
     pub fn len(&self) -> usize {
-        self.snapshot().len()
+        self.snapshot().0.keys().filter(|&&k| is_edge(k)).count()
     }
 
-    /// Whether no adjacency has been built yet.
+    /// Whether no edge key has been built yet.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// Total *published* builds. A build that loses a same-key publish
-    /// race is discarded without counting, so this equals
+    /// Total *published* edge builds. A build that loses a same-key
+    /// publish race is discarded without counting, so this equals
     /// [`len`](Self::len).
     pub fn builds(&self) -> u64 {
         self.builds.load(Ordering::Relaxed)
     }
 
-    /// Total adjacency builds *started*. The per-key in-flight guard
-    /// coalesces same-key cold misses, so this equals
-    /// [`builds`](Self::builds) unless a builder panicked mid-build (its
-    /// claim is released and a waiter retries) — the regression tests
-    /// for duplicate cold builds assert the equality.
+    /// Total edge builds *started*. The per-key in-flight guard coalesces
+    /// same-key cold misses, so this equals [`builds`](Self::builds)
+    /// unless a builder panicked mid-build (its claim is released and a
+    /// waiter retries) — the regression tests for duplicate cold builds
+    /// assert the equality.
     pub fn build_attempts(&self) -> u64 {
         self.build_attempts.load(Ordering::Relaxed)
     }
 
-    /// Cumulative wall-clock milliseconds spent building adjacencies.
+    /// Cumulative wall-clock milliseconds spent building edge candidates.
     pub fn build_ms(&self) -> f64 {
         self.build_nanos.load(Ordering::Relaxed) as f64 / 1e6
     }
 
-    /// Total compatible pairs across every build.
+    /// Total compatible pairs across every edge build.
     pub fn pair_total(&self) -> u64 {
         self.pairs.load(Ordering::Relaxed)
     }
 
     /// Number of publish-mutex acquisitions so far: snapshot refreshes,
     /// cold builds, and introspection ([`len`](Self::len)) all count.
-    /// Warm joins served from per-estimator memos must not move this —
-    /// `kernel_stats()` surfaces the sum so tests can assert exactly
-    /// that.
+    /// Warm joins served from a [`JoinIndexReader`]'s held snapshot must
+    /// not move this — `kernel_stats()` surfaces the sum so tests can
+    /// assert exactly that.
     pub fn lock_count(&self) -> u64 {
         self.locks.load(Ordering::Relaxed)
+    }
+}
+
+/// One estimator's (or one join's) front for a shared [`JoinIndexCache`]:
+/// the held snapshot `Arc` plus the epoch it was taken at. Lookups
+/// revalidate with one atomic load and probe the snapshot lock-free; only
+/// an epoch moved by *another* reader's publish costs a refresh (one
+/// mutex acquisition), and a cold build adopts the snapshot it published,
+/// so a single-writer workload re-locks nothing.
+///
+/// `C` is how the front holds the cache: `Arc<JoinIndexCache>` for an
+/// estimator that owns its front, `&JoinIndexCache` for a one-off join.
+/// The front is only meaningful for the summary its cache serves;
+/// [`JoinIndexCache::relation`] enforces the pairing.
+#[derive(Debug)]
+pub struct JoinIndexReader<C: Deref<Target = JoinIndexCache>> {
+    shared: C,
+    snap: Arc<JoinIndexSnapshot>,
+    epoch: u64,
+}
+
+impl<C: Deref<Target = JoinIndexCache>> JoinIndexReader<C> {
+    /// Wraps a shared cache without locking: the front starts on the
+    /// empty epoch-0 view — the cache's state before its first
+    /// publication — and refreshes on its first probe if the epoch has
+    /// moved since.
+    pub fn new(shared: C) -> Self {
+        JoinIndexReader {
+            shared,
+            snap: Arc::default(),
+            epoch: 0,
+        }
+    }
+
+    /// The bitmap of `key`: a held-snapshot hit, else `miss` against the
+    /// shared cache, whose returned snapshot the front adopts.
+    fn get(
+        &mut self,
+        key: BitmapKey,
+        miss: impl FnOnce(&JoinIndexCache) -> Published,
+    ) -> Arc<Vec<u64>> {
+        if self.shared.epoch() != self.epoch {
+            (self.snap, self.epoch) = self.shared.snapshot();
+        }
+        if let Some(b) = self.snap.get(&key) {
+            return Arc::clone(b);
+        }
+        let (bits, snap, epoch) = miss(&self.shared);
+        (self.snap, self.epoch) = (snap, epoch);
+        bits
+    }
+
+    /// The candidate bitmap of `(tag_u, tag_v, child_axis)`, building and
+    /// publishing it on first use. Concurrent cold calls on the same key
+    /// coalesce into one build; other keys build in parallel.
+    pub fn candidates(
+        &mut self,
+        encoding: &EncodingTable,
+        pids: &PidInterner,
+        tag_u: TagId,
+        tag_v: TagId,
+        child_axis: bool,
+    ) -> Arc<Vec<u64>> {
+        let key = edge_key(tag_u, tag_v, child_axis);
+        self.get(key, |cache| {
+            // Resolve the shared layout first: the OnceLocks serialize
+            // their own once-per-summary builds, which stay out of
+            // `build_ms`.
+            let relation = cache.relation(pids);
+            let slab = cache.slab(pids);
+            cache.get_or_build(key, || {
+                edge_candidates(encoding, slab, relation, tag_u, tag_v, child_axis)
+            })
+        })
+    }
+
+    /// The seed bitmap of `(tag, rooted)`, running `build` on first use
+    /// (through the same claim and publish path as the candidates; seeds
+    /// move no build counter).
+    pub fn seed(
+        &mut self,
+        tag: TagId,
+        rooted: bool,
+        build: impl Fn() -> Vec<u64>,
+    ) -> Arc<Vec<u64>> {
+        let key = seed_key(tag, rooted);
+        self.get(key, |cache| cache.get_or_build(key, || (build(), 0)))
+    }
+
+    /// The shared containment relation of `pids` (see
+    /// [`JoinIndexCache::relation`], including its pairing check).
+    pub fn relation(&self, pids: &PidInterner) -> &PidContainmentRelation {
+        self.shared.relation(pids)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::interner::Pid;
     use crate::label::Labeling;
     use crate::rel::axis_compatible_masked;
 
-    /// Checks every bit row of `adj` against the reference §2 predicate
-    /// [`axis_compatible_masked`] under the key's fresh relation mask,
-    /// plus the derived facts: candidates are exactly the pids with a
-    /// nonempty row (on both sides, by reflexivity), and `pair_count` is
-    /// the number of masked-compatible pairs.
+    /// Checks one key's candidate bitmap against the reference §2
+    /// predicate [`axis_compatible_masked`] under the key's fresh
+    /// relation mask: `forward_row(u) ∧ cand` must hold exactly the
+    /// compatible partners of *every* `u` (no screen on `u` needed —
+    /// `pu ⊇ pv` and `pv ∩ mask ≠ ∅` force `u` into the candidates), and
+    /// `reverse_row(v) ∧ cand` exactly those of every candidate `v` (the
+    /// kernel screens `v` before reading its row). Also checks that the
+    /// candidates are the mask-intersecting pids and that `pairs` counts
+    /// the masked-compatible pairs.
     fn assert_matches_masked(
-        adj: &ContainmentAdjacency,
+        (cand, pairs): (&[u64], u64),
+        relation: &PidContainmentRelation,
         encoding: &EncodingTable,
         pids: &PidInterner,
         key: (TagId, TagId, bool),
     ) {
         let (tu, tv, child) = key;
         let mask = relation_mask(encoding, tu, tv, child);
-        let has = |row: Option<&[u64]>, p: Pid| row.is_some_and(|r| words::test_bit(r, p.index()));
-        let nonempty = |row: Option<&[u64]>| row.is_some_and(|r| !words::is_empty(r));
-        let mut pairs = 0;
-        for (pu, _) in pids.iter() {
+        let masked = |row: &[u64], p: Pid| {
+            words::test_bit(row, p.index()) && words::test_bit(cand, p.index())
+        };
+        let mut expected_pairs = 0;
+        for (pu, bu) in pids.iter() {
             for (pv, _) in pids.iter() {
                 let expected = axis_compatible_masked(pids, pu, pv, &mask);
                 assert_eq!(
-                    has(adj.forward_bits(pu), pv),
+                    masked(relation.forward_row(pu.index()), pv),
                     expected,
                     "fwd {tu:?}/{tv:?} child={child} {pu:?}->{pv:?}"
                 );
-                assert_eq!(
-                    has(adj.reverse_bits(pv), pu),
-                    expected,
-                    "rev {tu:?}/{tv:?} child={child} {pu:?}->{pv:?}"
-                );
-                pairs += usize::from(expected);
+                if words::test_bit(cand, pv.index()) {
+                    assert_eq!(
+                        masked(relation.reverse_row(pv.index()), pu),
+                        expected,
+                        "rev {tu:?}/{tv:?} child={child} {pu:?}->{pv:?}"
+                    );
+                }
+                expected_pairs += u64::from(expected);
             }
-            let is_cand = words::test_bit(adj.candidates(), pu.index());
-            assert_eq!(is_cand, nonempty(adj.forward_bits(pu)), "{pu:?}");
-            assert_eq!(is_cand, nonempty(adj.reverse_bits(pu)), "{pu:?}");
+            assert_eq!(
+                words::test_bit(cand, pu.index()),
+                bu.intersects(&mask),
+                "{pu:?}"
+            );
         }
-        assert_eq!(adj.pair_count(), pairs, "{tu:?}/{tv:?} child={child}");
-        assert_eq!(adj.pid_count(), pids.len());
-        assert_eq!(adj.set_words(), pids.len().div_ceil(64));
+        assert_eq!(pairs, expected_pairs, "{tu:?}/{tv:?} child={child}");
+        assert_eq!(cand.len(), pids.len().div_ceil(64));
+        assert_eq!(relation.set_words(), pids.len().div_ceil(64));
+    }
+
+    /// One lookup through a fresh front, like a one-off join: a cold key
+    /// takes the cache's claim, build and publish path.
+    fn candidates(
+        cache: &JoinIndexCache,
+        lab: &Labeling,
+        tu: TagId,
+        tv: TagId,
+        child: bool,
+    ) -> Arc<Vec<u64>> {
+        JoinIndexReader::new(cache).candidates(&lab.encoding, &lab.interner, tu, tv, child)
+    }
+
+    /// [`candidates`] for a seed key.
+    fn seed(
+        cache: &JoinIndexCache,
+        tag: TagId,
+        rooted: bool,
+        build: impl Fn() -> Vec<u64>,
+    ) -> Arc<Vec<u64>> {
+        JoinIndexReader::new(cache).seed(tag, rooted, build)
+    }
+
+    /// Builds and checks one key standalone, against a fresh slab and
+    /// relation.
+    fn check_standalone(encoding: &EncodingTable, pids: &PidInterner, key: (TagId, TagId, bool)) {
+        let slab = PidBitmapSlab::from_interner(pids);
+        let relation = PidContainmentRelation::build(&slab);
+        let (tu, tv, child) = key;
+        let (cand, pairs) = edge_candidates(encoding, &slab, &relation, tu, tv, child);
+        assert_matches_masked((&cand, pairs), &relation, encoding, pids, key);
     }
 
     /// Every key of the Figure-1 document — all tag pairs, both axes —
@@ -766,16 +685,15 @@ mod tests {
         for &tu in &tags {
             for &tv in &tags {
                 for child in [true, false] {
-                    let adj =
-                        ContainmentAdjacency::build(&lab.encoding, &lab.interner, tu, tv, child);
-                    assert_matches_masked(&adj, &lab.encoding, &lab.interner, (tu, tv, child));
+                    check_standalone(&lab.encoding, &lab.interner, (tu, tv, child));
                 }
             }
         }
     }
 
     /// The same keys filled through the cache, which shares one slab and
-    /// one containment relation across every key of the summary.
+    /// one containment relation across every key of the summary; each
+    /// build's pair count is read back from the cache's running total.
     #[test]
     fn relation_fill_matches_masked_test() {
         let doc = xpe_xml::fixtures::paper_figure1();
@@ -785,8 +703,18 @@ mod tests {
         for &tu in &tags {
             for &tv in &tags {
                 for child in [true, false] {
-                    let adj = cache.get(&lab.encoding, &lab.interner, tu, tv, child);
-                    assert_matches_masked(&adj, &lab.encoding, &lab.interner, (tu, tv, child));
+                    let before = cache.pair_total();
+                    let cand = candidates(&cache, &lab, tu, tv, child);
+                    let pairs = cache.pair_total() - before;
+                    let relation = cache.relation(&lab.interner);
+                    let key = (tu, tv, child);
+                    assert_matches_masked(
+                        (&cand, pairs),
+                        relation,
+                        &lab.encoding,
+                        &lab.interner,
+                        key,
+                    );
                 }
             }
         }
@@ -797,7 +725,7 @@ mod tests {
     /// per-instance union of leaf-path encodings), so the relation must
     /// handle arbitrary bit-set families exactly — no laminarity
     /// assumption anywhere. Hand-build an overlapping family and check
-    /// the fill against the §2 predicate directly.
+    /// the candidates against the §2 predicate directly.
     #[test]
     fn overlapping_unnested_ids_are_exact() {
         use crate::bits::PathIdBits;
@@ -819,17 +747,13 @@ mod tests {
             }
             pids.intern(id);
         }
-        let slab = PidBitmapSlab::from_interner(&pids);
-        let relation = PidContainmentRelation::build(&slab);
+        let relation = PidContainmentRelation::build(&PidBitmapSlab::from_interner(&pids));
         // {1,2} ⊆ {1,2,3}, {2,3} ⊆ {1,2,3}, plus the three reflexive
         // pairs; the overlapping pair {1,2} vs {2,3} nests neither way.
         assert_eq!(relation.pair_count(), 5);
 
         for child in [true, false] {
-            let adj = ContainmentAdjacency::build_with_layout(
-                &encoding, &pids, &slab, &relation, a, b, child,
-            );
-            assert_matches_masked(&adj, &encoding, &pids, (a, b, child));
+            check_standalone(&encoding, &pids, (a, b, child));
         }
     }
 
@@ -893,9 +817,9 @@ mod tests {
         assert_eq!(rel.pair_count(), 2, "only the two reflexive pairs");
     }
 
-    /// The adjacency fill stays exact past 64 words of interner width —
+    /// The candidate screen stays exact past 64 words of interner width —
     /// the same regression as `wide_interner_relation_is_exact`, through
-    /// the masked `build_with_layout` fill.
+    /// the masked candidate build.
     #[test]
     fn wide_interner_adjacency_matches_masked_test() {
         use crate::bits::PathIdBits;
@@ -932,13 +856,8 @@ mod tests {
             }
             pids.intern(id);
         }
-        let slab = PidBitmapSlab::from_interner(&pids);
-        let relation = PidContainmentRelation::build(&slab);
         for child in [true, false] {
-            let adj = ContainmentAdjacency::build_with_layout(
-                &encoding, &pids, &slab, &relation, r, a, child,
-            );
-            assert_matches_masked(&adj, &encoding, &pids, (r, a, child));
+            check_standalone(&encoding, &pids, (r, a, child));
         }
     }
 
@@ -948,15 +867,18 @@ mod tests {
         let lab = Labeling::compute(&doc);
         let tags: Vec<TagId> = doc.tags().iter().map(|(t, _)| t).collect();
         let cache = JoinIndexCache::new();
-        let s1 = cache.seed_bitmap(tags[0], true, || vec![0b101]);
-        let s2 = cache.seed_bitmap(tags[0], true, || panic!("memo must hit"));
+        let s1 = seed(&cache, tags[0], true, || vec![0b101]);
+        let s2 = seed(&cache, tags[0], true, || panic!("memo must hit"));
         assert!(Arc::ptr_eq(&s1, &s2));
         assert_eq!(*s1, vec![0b101]);
-        let s3 = cache.seed_bitmap(tags[0], false, || vec![0b11]);
+        let s3 = seed(&cache, tags[0], false, || vec![0b11]);
         assert_eq!(*s3, vec![0b11]);
+        // Seeds are not edge keys: no build counter moves.
+        assert!(cache.is_empty());
+        assert_eq!(cache.builds(), 0);
         let slab1 = cache.slab(&lab.interner);
         let slab2 = cache.slab(&lab.interner);
-        assert!(Arc::ptr_eq(&slab1, &slab2));
+        assert!(std::ptr::eq(slab1, slab2));
         assert_eq!(slab1.rows(), lab.interner.len());
     }
 
@@ -967,15 +889,45 @@ mod tests {
         let cache = JoinIndexCache::new();
         assert!(cache.is_empty());
         let tags: Vec<TagId> = doc.tags().iter().map(|(t, _)| t).collect();
-        let a1 = cache.get(&lab.encoding, &lab.interner, tags[0], tags[1], true);
-        let a2 = cache.get(&lab.encoding, &lab.interner, tags[0], tags[1], true);
+        let a1 = candidates(&cache, &lab, tags[0], tags[1], true);
+        let pairs = cache.pair_total();
+        let a2 = candidates(&cache, &lab, tags[0], tags[1], true);
         assert!(Arc::ptr_eq(&a1, &a2), "second lookup hits the memo");
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.builds(), 1);
-        assert_eq!(cache.pair_total(), a1.pair_count() as u64);
-        cache.get(&lab.encoding, &lab.interner, tags[1], tags[0], false);
+        assert_eq!(cache.pair_total(), pairs, "a hit adds no pairs");
+        candidates(&cache, &lab, tags[1], tags[0], false);
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.builds(), 2);
+    }
+
+    /// A reader serves warm keys from its held snapshot without locking,
+    /// and adopts the snapshot its own cold build published — so a
+    /// single-writer workload never refreshes.
+    #[test]
+    fn reader_adopts_its_own_publications() {
+        let doc = xpe_xml::fixtures::paper_figure1();
+        let lab = Labeling::compute(&doc);
+        let tags: Vec<TagId> = doc.tags().iter().map(|(t, _)| t).collect();
+        let cache = JoinIndexCache::new();
+        let mut reader = JoinIndexReader::new(&cache);
+        let (enc, pids) = (&lab.encoding, &lab.interner);
+        let cold = reader.candidates(enc, pids, tags[0], tags[1], true);
+        let seed = reader.seed(tags[0], false, || vec![0b1]);
+        let locks = cache.lock_count();
+        let warm = reader.candidates(enc, pids, tags[0], tags[1], true);
+        assert!(Arc::ptr_eq(&cold, &warm));
+        assert!(Arc::ptr_eq(
+            &seed,
+            &reader.seed(tags[0], false, || panic!("warm"))
+        ));
+        assert_eq!(cache.lock_count(), locks, "warm probes take no lock");
+        // Another writer moves the epoch: one refresh, then lock-free.
+        JoinIndexReader::new(&cache).candidates(enc, pids, tags[1], tags[0], false);
+        let locks = cache.lock_count();
+        reader.candidates(enc, pids, tags[0], tags[1], true);
+        reader.candidates(enc, pids, tags[1], tags[0], false);
+        assert_eq!(cache.lock_count(), locks + 1);
     }
 
     #[test]
@@ -989,8 +941,8 @@ mod tests {
                 s.spawn(|| {
                     for &tu in &tags {
                         for &tv in &tags {
-                            let a = cache.get(&lab.encoding, &lab.interner, tu, tv, true);
-                            assert_eq!(a.pid_count(), lab.interner.len());
+                            let c = candidates(&cache, &lab, tu, tv, true);
+                            assert_eq!(c.len(), lab.interner.len().div_ceil(64));
                         }
                     }
                 });
@@ -1011,11 +963,9 @@ mod tests {
         // single cold key, the historically racy shape.
         for round in 0..20 {
             let cache = JoinIndexCache::new();
-            let built: Vec<Arc<ContainmentAdjacency>> = std::thread::scope(|s| {
+            let built: Vec<Arc<Vec<u64>>> = std::thread::scope(|s| {
                 let handles: Vec<_> = (0..8)
-                    .map(|_| {
-                        s.spawn(|| cache.get(&lab.encoding, &lab.interner, tags[0], tags[1], true))
-                    })
+                    .map(|_| s.spawn(|| candidates(&cache, &lab, tags[0], tags[1], true)))
                     .collect();
                 handles.into_iter().map(|h| h.join().unwrap()).collect()
             });
@@ -1040,7 +990,7 @@ mod tests {
                 let handles: Vec<_> = (0..8)
                     .map(|_| {
                         s.spawn(|| {
-                            cache.seed_bitmap(tags[0], true, || {
+                            seed(&cache, tags[0], true, || {
                                 calls.fetch_add(1, Ordering::Relaxed);
                                 // Widen the race window a little.
                                 std::thread::yield_now();
@@ -1068,11 +1018,11 @@ mod tests {
         let prev = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
         let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            cache.seed_bitmap(tags[0], true, || panic!("builder dies"))
+            seed(&cache, tags[0], true, || panic!("builder dies"))
         }));
         std::panic::set_hook(prev);
         assert!(died.is_err());
-        let s = cache.seed_bitmap(tags[0], true, || vec![0b1]);
+        let s = seed(&cache, tags[0], true, || vec![0b1]);
         assert_eq!(*s, vec![0b1]);
     }
 }

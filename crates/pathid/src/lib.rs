@@ -47,9 +47,7 @@ mod stream;
 mod tree;
 pub mod words;
 
-pub use adjacency::{
-    ContainmentAdjacency, JoinIndexCache, JoinIndexSnapshot, PidContainmentRelation,
-};
+pub use adjacency::{JoinIndexCache, JoinIndexReader, PidContainmentRelation};
 pub use bits::{Ones, PathIdBits};
 pub use encoding::{EncodingTable, PathEncoding};
 pub use handle::{HandleHasher, HandleMap};

@@ -33,7 +33,7 @@ pub fn axis_compatible(
 
 /// Precomputed bitset over path encodings where the `(tag_u, tag_v)`
 /// relation holds — computed fresh per edge by the reference join, and
-/// folded into each containment adjacency's screen.
+/// once per key by the bitmap kernel's candidate build.
 ///
 /// With the mask in hand, the §2 test collapses to pure bit operations:
 /// `(pid_u ⊇ pid_v) ∧ (pid_v ∩ mask ≠ ∅)`. Building a mask is

@@ -2,7 +2,7 @@
 //! the bit-parallel join kernel.
 //!
 //! A [`PidInterner`] stores every id as its own `Box<[u64]>`: correct,
-//! but the containment-adjacency builder compares ids **pairwise and
+//! but the containment-relation builder compares ids **pairwise and
 //! quadratically**, and every comparison then chases a fresh pointer to
 //! a tiny heap object. [`PidBitmapSlab`] re-lays the same ids out as one
 //! contiguous allocation of fixed-stride rows:
@@ -191,8 +191,8 @@ impl<'a> PidBitsRef<'a> {
         words::intersects(self.words, other.words)
     }
 
-    /// Whether any bit is set in both this row and a boxed id (how the
-    /// adjacency builder screens slab rows against relation masks).
+    /// Whether any bit is set in both this row and a boxed id, such as a
+    /// relation mask.
     #[inline]
     pub fn intersects_bits(&self, other: &PathIdBits) -> bool {
         debug_assert_eq!(self.nbits, other.nbits());

@@ -98,8 +98,8 @@ pub fn and_assign(dst: &mut [u64], src: &[u64]) {
 /// `j` is nonzero. A single-word necessary condition for subset tests —
 /// `sig(sub) & !sig(sup) ≠ 0` proves `sub ⊄ sup` without touching the
 /// rows (for rows up to 64 words the signature is exact word support) —
-/// which the adjacency builder uses to refuse most of its quadratic
-/// candidate pairs one `u64` early.
+/// which the containment-relation builder uses to refuse most of its
+/// quadratic candidate pairs one `u64` early.
 #[inline]
 pub fn support_signature(a: &[u64]) -> u64 {
     let mut sig = 0u64;

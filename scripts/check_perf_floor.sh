@@ -13,10 +13,11 @@
 # scale 0.03 sustain ~75–100k q/s on XMark; the default floor is 8k.
 # Override with XPE_PERF_FLOOR_XMARK_QPS.
 #
-# A second, ratio-based floor guards the screen phase: after prepared
-# plans and the flat per-estimator memos, XMark screen time sits near
-# 32–40% of the instrumented join total (plan+screen+fixpoint+finalize);
-# before them it was 54–57%. Phase *shares* are robust to runner speed,
+# A second, ratio-based floor guards the screen phase: with prepared
+# plans and lock-free per-estimator index fronts, XMark screen time on
+# warm caches sits near 20–24% of the instrumented join total
+# (plan+screen+fixpoint+finalize) at CI scale; before prepared plans it
+# was 54–57%. Phase *shares* are robust to runner speed,
 # so a share above the cap means the screen phase re-grew per-query
 # constants (string lookups, lock round-trips, allocations) — exactly
 # the regression the prepared-plan work removed. Override with

@@ -1,16 +1,26 @@
 //! Assigning path ids to every element of a document (paper §2).
 //!
-//! Two passes:
+//! Two passes over the elements in id order (document pre-order):
 //!
-//! 1. Collect the distinct root-to-leaf label paths into the
-//!    [`EncodingTable`], in first-encounter document order.
+//! 1. Walk the *path trie* — the set of distinct root-to-node label paths,
+//!    i.e. the path summary of Arion et al. — one map probe per element:
+//!    an element's trie node is its parent's trie node extended by its
+//!    tag. Trie nodes are dense handles assigned by first occurrence, so
+//!    the map uses [`HandleMap`]. The first leaf to reach a trie node
+//!    interns that node's label path into the [`EncodingTable`], so
+//!    encodings stay in first-encounter document order and the table
+//!    hashes each distinct path once, not once per leaf.
 //! 2. Bottom-up, give each leaf the single-bit id of its path and each
-//!    internal node the OR of its children's ids; intern every id.
+//!    internal node the OR of its children's ids, in one flat word arena;
+//!    then intern every id in pre-order. A leaf's id depends only on its
+//!    encoding, so leaves are answered from a table indexed by encoding
+//!    after the first leaf of each path.
 
 use xpe_xml::{Document, NodeId, TagId};
 
 use crate::bits::PathIdBits;
-use crate::encoding::EncodingTable;
+use crate::encoding::{EncodingTable, PathEncoding};
+use crate::handle::HandleMap;
 use crate::interner::{Pid, PidInterner};
 
 /// The complete path-id labeling of one document.
@@ -27,46 +37,69 @@ pub struct Labeling {
 impl Labeling {
     /// Labels `doc` (paper Figure 1).
     pub fn compute(doc: &Document) -> Self {
-        // Pass 1: encode distinct root-to-leaf paths in document order.
+        let n = doc.len();
+        let is_leaf = |i: usize| doc.children(NodeId::from_index(i)).is_empty();
+
+        // Pass 1: each element's trie node (the root's is 0), and each trie
+        // node's encoding once a leaf has reached it (0 until then).
+        let mut trie: HandleMap<(u32, TagId), u32> = HandleMap::default();
+        let mut trie_encoding: Vec<PathEncoding> = vec![0];
+        let mut node_trie: Vec<u32> = Vec::with_capacity(n);
         let mut encoding = EncodingTable::new();
-        let mut leaf_encoding: Vec<u32> = vec![0; doc.len()];
-        let mut stack: Vec<(NodeId, usize)> = vec![(doc.root(), 0)];
-        let mut path: Vec<TagId> = Vec::new();
-        while let Some((id, depth)) = stack.pop() {
-            path.truncate(depth);
-            path.push(doc.tag(id));
-            let children = doc.children(id);
-            if children.is_empty() {
-                leaf_encoding[id.index()] = encoding.intern(&path);
-            } else {
-                for &c in children.iter().rev() {
-                    stack.push((c, depth + 1));
+        for id in doc.node_ids() {
+            let t = match doc.parent(id) {
+                None => 0,
+                Some(p) => {
+                    let next = trie_encoding.len() as u32;
+                    let t = *trie
+                        .entry((node_trie[p.index()], doc.tag(id)))
+                        .or_insert(next);
+                    if t == next {
+                        trie_encoding.push(0);
+                    }
+                    t
                 }
+            };
+            node_trie.push(t);
+            if trie_encoding[t as usize] == 0 && is_leaf(id.index()) {
+                trie_encoding[t as usize] = encoding.intern(&doc.root_path(id));
             }
         }
+        let leaf_encoding = |i: usize| trie_encoding[node_trie[i] as usize];
 
         // Pass 2: bottom-up OR into one flat arena of `words` words per
         // node. Node ids are pre-order, so a reverse scan sees every child
         // before its parent, and a parent's slice lies before its child's.
         let width = encoding.len() as u32;
         let words = width.div_ceil(64) as usize;
-        let mut arena = vec![0u64; doc.len() * words];
-        for i in (0..doc.len()).rev() {
-            let id = NodeId::from_index(i);
+        let mut arena = vec![0u64; n * words];
+        for i in (0..n).rev() {
             let (head, tail) = arena.split_at_mut(i * words);
             let own = &mut tail[..words];
-            if doc.children(id).is_empty() {
-                PathIdBits::set_in(own, leaf_encoding[i]);
+            if is_leaf(i) {
+                PathIdBits::set_in(own, leaf_encoding(i));
             }
-            if let Some(p) = doc.parent(id) {
+            if let Some(p) = doc.parent(NodeId::from_index(i)) {
                 let parent = &mut head[p.index() * words..(p.index() + 1) * words];
                 crate::words::or_assign(parent, own);
             }
         }
         // Intern in pre-order, so handles number ids by first occurrence.
+        // The first leaf of each path interns its row (which may find the
+        // id already interned by an ancestor); later leaves of that path
+        // read the table.
         let mut interner = PidInterner::new(width);
-        let node_pids: Vec<Pid> = (0..doc.len())
-            .map(|i| interner.intern_words(&arena[i * words..(i + 1) * words]))
+        let mut leaf_pid: Vec<Option<Pid>> = vec![None; width as usize + 1];
+        let node_pids: Vec<Pid> = (0..n)
+            .map(|i| {
+                let row = &arena[i * words..(i + 1) * words];
+                if is_leaf(i) {
+                    *leaf_pid[leaf_encoding(i) as usize]
+                        .get_or_insert_with(|| interner.intern_words(row))
+                } else {
+                    interner.intern_words(row)
+                }
+            })
             .collect();
 
         Labeling {

@@ -145,9 +145,9 @@ mod tests {
     fn parses_nested_with_text() {
         let doc = parse("<a>hi<b>there</b> again</a>").unwrap();
         assert_eq!(doc.len(), 2);
-        assert_eq!(doc.node(doc.root()).text, "hi again");
+        assert_eq!(doc.text(doc.root()), "hi again");
         let b = doc.children(doc.root())[0];
-        assert_eq!(doc.node(b).text, "there");
+        assert_eq!(doc.text(b), "there");
     }
 
     #[test]
@@ -170,7 +170,7 @@ mod tests {
     #[test]
     fn entities_and_cdata() {
         let doc = parse("<a>&lt;x&gt; &amp; <![CDATA[<raw> & stuff]]> &#65;&#x42;</a>").unwrap();
-        assert_eq!(doc.node(doc.root()).text, "<x> & <raw> & stuff AB");
+        assert_eq!(doc.text(doc.root()), "<x> & <raw> & stuff AB");
     }
 
     #[test]

@@ -26,14 +26,14 @@ pub fn to_string_pretty(doc: &Document) -> String {
 }
 
 fn write_node(doc: &Document, id: NodeId, out: &mut String, indent: Option<&str>, depth: usize) {
-    let node = doc.node(id);
     let tag = doc.tag_name(id);
+    let (children, text) = (doc.children(id), doc.text(id));
     if let Some(unit) = indent {
         for _ in 0..depth {
             out.push_str(unit);
         }
     }
-    if node.children.is_empty() && node.text.is_empty() {
+    if children.is_empty() && text.is_empty() {
         let _ = write!(out, "<{tag}/>");
         if indent.is_some() {
             out.push('\n');
@@ -41,12 +41,12 @@ fn write_node(doc: &Document, id: NodeId, out: &mut String, indent: Option<&str>
         return;
     }
     let _ = write!(out, "<{tag}>");
-    escape_into(&node.text, out);
-    if !node.children.is_empty() {
+    escape_into(text, out);
+    if !children.is_empty() {
         if indent.is_some() {
             out.push('\n');
         }
-        for &child in &node.children {
+        for &child in children {
             write_node(doc, child, out, indent, depth + 1);
         }
         if let Some(unit) = indent {

@@ -182,9 +182,31 @@ impl<'a> StreamParser<'a> {
     }
 
     fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\r' | b'\n')) {
-            self.pos += 1;
+        self.pos += self.run_len(|c| matches!(c, b' ' | b'\t' | b'\r' | b'\n'));
+    }
+
+    /// Length of the run of bytes from the cursor that satisfy `keep`.
+    #[inline]
+    fn run_len(&self, keep: impl Fn(u8) -> bool) -> usize {
+        let rest = &self.bytes[self.pos..];
+        rest.iter().position(|&c| !keep(c)).unwrap_or(rest.len())
+    }
+
+    /// Length of the name token of `keep` bytes at the cursor, or
+    /// `TokenTooLong` (at the token's start) when it exceeds
+    /// [`MAX_NAME_LEN`]. The scan looks at most one byte past the cap, so
+    /// a hostile token is not walked to its end.
+    fn token_len(&self, keep: impl Fn(u8) -> bool) -> Result<usize, ParseError> {
+        let rest = &self.bytes[self.pos..];
+        let window = &rest[..rest.len().min(MAX_NAME_LEN + 1)];
+        let len = window
+            .iter()
+            .position(|&c| !keep(c))
+            .unwrap_or(window.len());
+        if len > MAX_NAME_LEN {
+            return Err(self.err(ParseErrorKind::TokenTooLong));
         }
+        Ok(len)
     }
 
     fn skip_until(&mut self, end: &str) -> Result<(), ParseError> {
@@ -244,24 +266,13 @@ impl<'a> StreamParser<'a> {
     /// Consumes a name token, returning its byte range in the input.
     fn name_range(&mut self) -> Result<(usize, usize), ParseError> {
         let start = self.pos;
-        while let Some(c) = self.peek() {
-            let ok =
-                c.is_ascii_alphanumeric() || matches!(c, b'_' | b'-' | b'.' | b':') || c >= 0x80;
-            if ok {
-                if self.pos - start >= MAX_NAME_LEN {
-                    return Err(ParseError {
-                        offset: start,
-                        kind: ParseErrorKind::TokenTooLong,
-                    });
-                }
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-        if self.pos == start {
+        let len = self.token_len(|c| {
+            c.is_ascii_alphanumeric() || matches!(c, b'_' | b'-' | b'.' | b':') || c >= 0x80
+        })?;
+        if len == 0 {
             return Err(self.err(ParseErrorKind::BadName));
         }
+        self.pos += len;
         // Names must not start with a digit, '-' or '.'.
         let first = self.bytes[start];
         if first.is_ascii_digit() || first == b'-' || first == b'.' {
@@ -334,12 +345,7 @@ impl<'a> StreamParser<'a> {
             self.pos += 1;
             // Attribute values are validated but not reported: the
             // estimation system summarises element structure only.
-            while let Some(c) = self.peek() {
-                if c == quote {
-                    break;
-                }
-                self.pos += 1;
-            }
+            self.pos += self.run_len(|c| c != quote);
             self.expect(quote)?;
         }
     }
@@ -382,12 +388,7 @@ impl<'a> StreamParser<'a> {
                 }
                 Some(_) => {
                     let start = self.pos;
-                    while let Some(c) = self.peek() {
-                        if c == b'<' || c == b'&' {
-                            break;
-                        }
-                        self.pos += 1;
-                    }
+                    self.pos += self.run_len(|c| c != b'<' && c != b'&');
                     return Ok(Some(StreamEvent::Text(String::from_utf8_lossy(
                         &self.bytes[start..self.pos],
                     ))));
@@ -419,41 +420,27 @@ impl<'a> StreamParser<'a> {
         debug_assert_eq!(self.peek(), Some(b'&'));
         self.pos += 1;
         let start = self.pos;
-        while let Some(c) = self.peek() {
-            if c == b';' {
-                break;
-            }
-            if !c.is_ascii_alphanumeric() && c != b'#' && c != b'x' {
-                break;
-            }
-            if self.pos - start >= MAX_NAME_LEN {
-                return Err(ParseError {
-                    offset: start,
-                    kind: ParseErrorKind::TokenTooLong,
-                });
-            }
-            self.pos += 1;
-        }
-        let name = String::from_utf8_lossy(&self.bytes[start..self.pos]).into_owned();
+        self.pos += self.token_len(|c| c.is_ascii_alphanumeric() || c == b'#')?;
+        // The name bytes are ASCII, so the lossy decode borrows.
+        let name = String::from_utf8_lossy(&self.bytes[start..self.pos]);
         self.expect(b';')?;
-        match name.as_str() {
+        let bad = |name: &str| self.err(ParseErrorKind::BadEntity(name.to_owned()));
+        match name.as_ref() {
             "lt" => Ok('<'),
             "gt" => Ok('>'),
             "amp" => Ok('&'),
             "apos" => Ok('\''),
             "quot" => Ok('"'),
-            _ if name.starts_with("#x") || name.starts_with("#X") => {
-                u32::from_str_radix(&name[2..], 16)
-                    .ok()
-                    .and_then(char::from_u32)
-                    .ok_or_else(|| self.err(ParseErrorKind::BadEntity(name.clone())))
-            }
-            _ if name.starts_with('#') => name[1..]
+            n if n.starts_with("#x") || n.starts_with("#X") => u32::from_str_radix(&n[2..], 16)
+                .ok()
+                .and_then(char::from_u32)
+                .ok_or_else(|| bad(n)),
+            n if n.starts_with('#') => n[1..]
                 .parse::<u32>()
                 .ok()
                 .and_then(char::from_u32)
-                .ok_or_else(|| self.err(ParseErrorKind::BadEntity(name.clone()))),
-            _ => Err(self.err(ParseErrorKind::BadEntity(name))),
+                .ok_or_else(|| bad(n)),
+            n => Err(bad(n)),
         }
     }
 }

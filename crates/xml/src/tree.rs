@@ -38,20 +38,17 @@ impl fmt::Debug for NodeId {
     }
 }
 
-/// One element node of a [`Document`].
-#[derive(Clone, Debug)]
+/// One element node of a [`Document`]: its tag and its parent link.
+///
+/// Children and character data live in the document's flat arrays and are
+/// read through [`Document::children`] and [`Document::text`], so a node
+/// owns no heap memory.
+#[derive(Clone, Copy, Debug)]
 pub struct Node {
     /// Interned tag of this element.
     pub tag: TagId,
     /// Parent element, `None` for the document root.
     pub parent: Option<NodeId>,
-    /// Element children in document order.
-    pub children: Vec<NodeId>,
-    /// Concatenated character data directly inside this element (text nodes
-    /// are not modelled as tree nodes — the estimation system only
-    /// summarises element structure — but the content is preserved so that
-    /// parse→serialize round-trips).
-    pub text: String,
 }
 
 /// Errors raised by [`TreeBuilder`].
@@ -82,12 +79,24 @@ impl std::error::Error for TreeError {}
 
 /// An ordered tree of element nodes with interned tags.
 ///
-/// The arena layout (`Vec<Node>`) keeps traversal cache-friendly; statistic
-/// collection over documents with hundreds of thousands of elements (the
-/// paper's DBLP snapshot has 1.7M) is a linear scan.
+/// The layout is flat: one `Vec<Node>` of `(tag, parent)` pairs indexed by
+/// [`NodeId`], the child lists as one CSR pair (`child_start`/`child_ids`),
+/// and all character data in one `String` with per-node offsets
+/// (`text_start`). No element owns a heap allocation, so building a
+/// document costs amortised vector growth only, and statistic collection
+/// over documents with hundreds of thousands of elements (the paper's DBLP
+/// snapshot has 1.7M) is a linear scan.
 #[derive(Clone, Debug)]
 pub struct Document {
     nodes: Vec<Node>,
+    /// `child_ids[child_start[i]..child_start[i + 1]]` are node `i`'s
+    /// children in document order (`n + 1` entries).
+    child_start: Vec<u32>,
+    child_ids: Vec<NodeId>,
+    /// `text[text_start[i]..text_start[i + 1]]` is node `i`'s character
+    /// data (`n + 1` entries).
+    text: String,
+    text_start: Vec<usize>,
     tags: TagInterner,
 }
 
@@ -138,7 +147,18 @@ impl Document {
     /// Children of `id` in document order.
     #[inline]
     pub fn children(&self, id: NodeId) -> &[NodeId] {
-        &self.nodes[id.index()].children
+        let i = id.index();
+        &self.child_ids[self.child_start[i] as usize..self.child_start[i + 1] as usize]
+    }
+
+    /// Concatenated character data directly inside `id`, in document
+    /// order. Text nodes are not modelled as tree nodes — the estimation
+    /// system only summarises element structure — but the content is kept
+    /// so that parse→serialize round-trips.
+    #[inline]
+    pub fn text(&self, id: NodeId) -> &str {
+        let i = id.index();
+        &self.text[self.text_start[i]..self.text_start[i + 1]]
     }
 
     /// The tag interner for this document.
@@ -192,7 +212,10 @@ impl Document {
 /// Incremental, event-style constructor for [`Document`].
 ///
 /// Drive it with `begin_element` / `text` / `end_element` in document order;
-/// the parser and every dataset generator are built on top of it.
+/// the parser and every dataset generator are built on top of it. Nodes are
+/// appended as `(tag, parent)` pairs and character data to one text arena,
+/// recorded as `(node, start)` pieces; [`finish`](Self::finish) derives the
+/// child lists and regroups the text per node, each in one linear pass.
 ///
 /// # Example
 ///
@@ -213,6 +236,13 @@ pub struct TreeBuilder {
     nodes: Vec<Node>,
     tags: TagInterner,
     stack: Vec<NodeId>,
+    /// Character data in arrival order.
+    text: String,
+    /// `(node, start)`: `text[start..]` up to the next piece's start (or
+    /// the end) belongs to `node`. Consecutive text for one node extends
+    /// its last piece, so a node has several pieces only when its text
+    /// resumes after text inside one of its children.
+    pieces: Vec<(NodeId, usize)>,
     root_closed: bool,
 }
 
@@ -241,15 +271,7 @@ impl TreeBuilder {
         if parent.is_none() && !self.nodes.is_empty() {
             self.root_closed = true; // will surface as MultipleRoots
         }
-        self.nodes.push(Node {
-            tag,
-            parent,
-            children: Vec::new(),
-            text: String::new(),
-        });
-        if let Some(p) = parent {
-            self.nodes[p.index()].children.push(id);
-        }
+        self.nodes.push(Node { tag, parent });
         self.stack.push(id);
         id
     }
@@ -257,9 +279,16 @@ impl TreeBuilder {
     /// Appends character data to the currently open element. Text outside
     /// any element is ignored (whitespace between a prolog and the root).
     pub fn text(&mut self, data: &str) {
-        if let Some(&cur) = self.stack.last() {
-            self.nodes[cur.index()].text.push_str(data);
+        let Some(&cur) = self.stack.last() else {
+            return;
+        };
+        if data.is_empty() {
+            return;
         }
+        if self.pieces.last().map(|&(node, _)| node) != Some(cur) {
+            self.pieces.push((cur, self.text.len()));
+        }
+        self.text.push_str(data);
     }
 
     /// Closes the most recently opened element.
@@ -284,11 +313,78 @@ impl TreeBuilder {
         if self.nodes.is_empty() {
             return Err(TreeError::EmptyDocument);
         }
+        let (child_start, child_ids) = child_lists(&self.nodes);
+        let (text, text_start) = group_text(self.nodes.len(), self.text, &self.pieces);
         Ok(Document {
             nodes: self.nodes,
+            child_start,
+            child_ids,
+            text,
+            text_start,
             tags: self.tags,
         })
     }
+}
+
+/// The CSR child lists of `nodes`, from one counting pass over the parent
+/// links. `child_start[p]` first holds the number of children of nodes
+/// `0..=p`; a reverse scan then places each child just below its parent's
+/// running end, which leaves `child_start[p]` at the start of `p`'s list
+/// and, because ids are pre-order, the children in document order.
+fn child_lists(nodes: &[Node]) -> (Vec<u32>, Vec<NodeId>) {
+    let n = nodes.len();
+    let mut start = vec![0u32; n + 1];
+    for node in nodes {
+        if let Some(p) = node.parent {
+            start[p.index()] += 1;
+        }
+    }
+    let mut total = 0u32;
+    for s in &mut start {
+        total += *s;
+        *s = total;
+    }
+    let mut ids = vec![NodeId(0); total as usize];
+    for (i, node) in nodes.iter().enumerate().rev() {
+        if let Some(p) = node.parent {
+            let slot = &mut start[p.index()];
+            *slot -= 1;
+            ids[*slot as usize] = NodeId(i as u32);
+        }
+    }
+    (start, ids)
+}
+
+/// Regroups the text arena so each node's character data is contiguous
+/// and nodes follow in id order, returning the text and its `n + 1`
+/// per-node offsets. When the pieces already are in that order (every node
+/// has at most one piece, and pieces follow node ids, as in any document
+/// where no element's text resumes after text inside one of its children)
+/// the arena is kept as it is; otherwise the bytes are copied once into
+/// their node's slot.
+fn group_text(n: usize, text: String, pieces: &[(NodeId, usize)]) -> (String, Vec<usize>) {
+    let piece_end = |k: usize| pieces.get(k + 1).map_or(text.len(), |&(_, s)| s);
+    // `start[i + 1]` accumulates node `i`'s byte count.
+    let mut start = vec![0usize; n + 1];
+    for (k, &(node, s)) in pieces.iter().enumerate() {
+        start[node.index() + 1] += piece_end(k) - s;
+    }
+    for i in 1..=n {
+        start[i] += start[i - 1];
+    }
+    if pieces.windows(2).all(|w| w[0].0 < w[1].0) {
+        return (text, start);
+    }
+    let mut bytes = vec![0u8; text.len()];
+    let mut fill = start.clone();
+    for (k, &(node, s)) in pieces.iter().enumerate() {
+        let piece = &text.as_bytes()[s..piece_end(k)];
+        let at = &mut fill[node.index()];
+        bytes[*at..*at + piece.len()].copy_from_slice(piece);
+        *at += piece.len();
+    }
+    let text = String::from_utf8(bytes).expect("every piece is a whole UTF-8 string");
+    (text, start)
 }
 
 #[cfg(test)]
@@ -428,6 +524,33 @@ mod tests {
         b.text("world");
         b.end_element().unwrap();
         let doc = b.finish().unwrap();
-        assert_eq!(doc.node(doc.root()).text, "hello world");
+        assert_eq!(doc.text(doc.root()), "hello world");
+    }
+
+    #[test]
+    fn mixed_content_is_regrouped_per_node() {
+        let doc = crate::parse("<a>x<b>y</b>z<c>w</c>v</a>").unwrap();
+        let a = doc.root();
+        let (b, c) = (doc.children(a)[0], doc.children(a)[1]);
+        assert_eq!(doc.text(a), "xzv");
+        assert_eq!(doc.text(b), "y");
+        assert_eq!(doc.text(c), "w");
+        assert_eq!(doc.children(b), &[][..]);
+        assert_eq!(doc.node(c).parent, Some(a));
+    }
+
+    #[test]
+    fn child_lists_follow_document_order() {
+        let doc = paper_figure1();
+        let mut seen = 0;
+        for id in doc.node_ids() {
+            let kids = doc.children(id);
+            assert!(kids.windows(2).all(|w| w[0] < w[1]));
+            for &k in kids {
+                assert_eq!(doc.parent(k), Some(id));
+            }
+            seen += kids.len();
+        }
+        assert_eq!(seen, doc.len() - 1, "every non-root node is listed once");
     }
 }

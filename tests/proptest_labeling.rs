@@ -1,8 +1,10 @@
-//! Bit-identity of path-id labeling: `Labeling::compute` (one flat word
-//! arena, ids interned straight from their word slices) must give the
-//! same encoding table, the same interner order and the same per-node
-//! pids as the plain per-node algorithm kept below as the reference, and
-//! the streaming labeler must agree with both.
+//! Bit-identity of path-id labeling: `Labeling::compute` (a path trie
+//! that interns each distinct path once, one flat word arena, ids
+//! interned straight from their word slices, leaves answered from a
+//! per-encoding table) must give the same encoding table, the same
+//! interner order and the same per-node pids as the plain per-node
+//! algorithm kept below as the reference, and the streaming labeler must
+//! agree with both.
 
 use proptest::prelude::*;
 
@@ -159,4 +161,39 @@ fn wide_documents_match_reference() {
         widths.iter().any(|&w| w > 128),
         "no multi-word width reached: {widths:?}"
     );
+}
+
+/// Fixed shapes where the leaf-pid table and the path trie could go
+/// wrong, each checked against the reference and the streaming labeler.
+#[test]
+fn edge_case_documents_match_reference() {
+    // The leaf `a/b` has the same bits as its parent `a`, so the first
+    // leaf of that path must find the pid its parent already interned.
+    let doc = xpe_xml::parse("<r><a><b/></a><b/></r>").unwrap();
+    check(&doc);
+    let lab = Labeling::compute(&doc);
+    let a = doc.children(doc.root())[0];
+    assert_eq!(lab.pid(doc.children(a)[0]), lab.pid(a));
+
+    // One path reached through recursion (like XMark's `parlist`): the
+    // trie keys on the parent's trie node, not on the tag alone.
+    let doc = xpe_xml::parse("<r><p><l><p><l/></p></l></p></r>").unwrap();
+    check(&doc);
+    assert_eq!(Labeling::compute(&doc).encoding.len(), 1);
+    // The same parent/child tag pair one level up is another path.
+    let doc = xpe_xml::parse("<r><p><l><p><l/></p></l></p><p><l/></p></r>").unwrap();
+    check(&doc);
+    assert_eq!(Labeling::compute(&doc).encoding.len(), 2);
+
+    // A single chain as deep as the parser allows.
+    let mut b = xpe_xml::TreeBuilder::new();
+    for depth in 0..xpe_xml::MAX_DEPTH {
+        b.begin_element(if depth % 2 == 0 { "x" } else { "y" });
+    }
+    for _ in 0..xpe_xml::MAX_DEPTH {
+        b.end_element().unwrap();
+    }
+    let doc = b.finish().unwrap();
+    assert_eq!(doc.len(), xpe_xml::MAX_DEPTH);
+    check(&doc);
 }

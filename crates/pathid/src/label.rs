@@ -23,6 +23,36 @@ use crate::encoding::{EncodingTable, PathEncoding};
 use crate::handle::HandleMap;
 use crate::interner::{Pid, PidInterner};
 
+/// The distinct root-to-node label paths seen so far — the path summary
+/// of Arion et al. — as a trie with dense node handles assigned by first
+/// occurrence: a node's child for a tag is one [`HandleMap`] probe. Each
+/// node records its path's encoding once a leaf has ended there, so the
+/// [`EncodingTable`] hashes a label path once per distinct path, not
+/// once per leaf. The DOM labeler and both streaming passes walk it.
+#[derive(Debug, Default)]
+pub(crate) struct PathTrie {
+    /// `(parent node, tag)` → child node; roots hang off [`Self::ROOT`].
+    child: HandleMap<(u32, TagId), u32>,
+    /// Per node: its encoding once a leaf has ended there, else 0.
+    pub(crate) encoding: Vec<PathEncoding>,
+}
+
+impl PathTrie {
+    /// The parent handle of a document's root element.
+    pub(crate) const ROOT: u32 = u32::MAX;
+
+    /// The node for `tag` under `parent`, created on first sight.
+    #[inline]
+    pub(crate) fn step(&mut self, parent: u32, tag: TagId) -> u32 {
+        let next = self.encoding.len() as u32;
+        let node = *self.child.entry((parent, tag)).or_insert(next);
+        if node == next {
+            self.encoding.push(0);
+        }
+        node
+    }
+}
+
 /// The complete path-id labeling of one document.
 #[derive(Clone, Debug)]
 pub struct Labeling {
@@ -40,32 +70,22 @@ impl Labeling {
         let n = doc.len();
         let is_leaf = |i: usize| doc.children(NodeId::from_index(i)).is_empty();
 
-        // Pass 1: each element's trie node (the root's is 0), and each trie
-        // node's encoding once a leaf has reached it (0 until then).
-        let mut trie: HandleMap<(u32, TagId), u32> = HandleMap::default();
-        let mut trie_encoding: Vec<PathEncoding> = vec![0];
+        // Pass 1: each element's trie node, and each trie node's encoding
+        // once a leaf has reached it.
+        let mut trie = PathTrie::default();
         let mut node_trie: Vec<u32> = Vec::with_capacity(n);
         let mut encoding = EncodingTable::new();
         for id in doc.node_ids() {
-            let t = match doc.parent(id) {
-                None => 0,
-                Some(p) => {
-                    let next = trie_encoding.len() as u32;
-                    let t = *trie
-                        .entry((node_trie[p.index()], doc.tag(id)))
-                        .or_insert(next);
-                    if t == next {
-                        trie_encoding.push(0);
-                    }
-                    t
-                }
-            };
+            let parent = doc
+                .parent(id)
+                .map_or(PathTrie::ROOT, |p| node_trie[p.index()]);
+            let t = trie.step(parent, doc.tag(id));
             node_trie.push(t);
-            if trie_encoding[t as usize] == 0 && is_leaf(id.index()) {
-                trie_encoding[t as usize] = encoding.intern(&doc.root_path(id));
+            if trie.encoding[t as usize] == 0 && is_leaf(id.index()) {
+                trie.encoding[t as usize] = encoding.intern(&doc.root_path(id));
             }
         }
-        let leaf_encoding = |i: usize| trie_encoding[node_trie[i] as usize];
+        let leaf_encoding = |i: usize| trie.encoding[node_trie[i] as usize];
 
         // Pass 2: bottom-up OR into one flat arena of `words` words per
         // node. Node ids are pre-order, so a reverse scan sees every child

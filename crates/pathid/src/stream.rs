@@ -11,6 +11,10 @@
 //!    and closes before the next leaf opens), which is exactly the
 //!    first-encounter document order the DOM pass-1 DFS uses — the
 //!    [`EncodingTable`] comes out identical, fixing the path-id width.
+//!    Like the DOM labeler, both passes walk a path trie keyed by
+//!    `(trie node, tag)`, one [`HandleMap`] probe per open, so a label
+//!    path is hashed whole only at the first leaf that ends at its trie
+//!    node, not at every leaf.
 //! 2. **Pass B** ([`StreamLabeler`]) re-streams with a stack of open
 //!    elements whose ids live in one flat word stack. A leaf close sets
 //!    the single bit of its path; every close interns the finished id
@@ -35,6 +39,7 @@ use crate::bits::PathIdBits;
 use crate::encoding::EncodingTable;
 use crate::handle::HandleMap;
 use crate::interner::{Pid, PidInterner};
+use crate::label::PathTrie;
 
 /// Pass A: collects the tag vocabulary and the distinct root-to-leaf
 /// label paths from open/close events. State is O(depth + output).
@@ -42,9 +47,11 @@ use crate::interner::{Pid, PidInterner};
 pub struct PathScan {
     tags: TagInterner,
     encoding: EncodingTable,
+    trie: PathTrie,
     path: Vec<TagId>,
-    /// Per open element: has an element child been seen?
-    has_child: Vec<bool>,
+    /// Per open element: its trie node, and whether an element child has
+    /// been seen.
+    open: Vec<(u32, bool)>,
     elements: u64,
 }
 
@@ -57,11 +64,16 @@ impl PathScan {
     /// Feeds an element open event.
     pub fn open(&mut self, name: &str) {
         let tag = self.tags.intern(name);
-        if let Some(parent) = self.has_child.last_mut() {
-            *parent = true;
-        }
+        let parent = match self.open.last_mut() {
+            Some((node, has_child)) => {
+                *has_child = true;
+                *node
+            }
+            None => PathTrie::ROOT,
+        };
+        let node = self.trie.step(parent, tag);
         self.path.push(tag);
-        self.has_child.push(false);
+        self.open.push((node, false));
         self.elements += 1;
     }
 
@@ -72,9 +84,10 @@ impl PathScan {
     /// Panics on a close without a matching open (the tokenizer rejects
     /// such documents before the event is ever produced).
     pub fn close(&mut self) {
-        let leaf = !self.has_child.pop().expect("close without open");
-        if leaf {
-            self.encoding.intern(&self.path);
+        let (node, has_child) = self.open.pop().expect("close without open");
+        let slot = &mut self.trie.encoding[node as usize];
+        if !has_child && *slot == 0 {
+            *slot = self.encoding.intern(&self.path);
         }
         self.path.pop();
     }
@@ -108,43 +121,170 @@ pub trait StreamSink {
     /// before it (the paper's `element+` region, "x after y").
     fn sibling_after(&mut self, x: TagId, pid: Pid, y: TagId);
 
-    /// `count` siblings of tag/pid `(x, pid)` precede the last `y`-tagged
-    /// child of the closing parent (the `+element` region, "x before y"),
-    /// aggregated per parent.
+    /// `count` children of tag/pid `(x, pid)` of the closing parent have
+    /// some `y`-tagged sibling before them: the labeler reports the
+    /// `element+` region aggregated per parent through this method. The
+    /// default repeats [`sibling_after`](Self::sibling_after); sinks that
+    /// add counts override it.
+    fn siblings_after(&mut self, x: TagId, pid: Pid, y: TagId, count: u64) {
+        for _ in 0..count {
+            self.sibling_after(x, pid, y);
+        }
+    }
+
+    /// `count` children of tag/pid `(x, pid)` of the closing parent have
+    /// some `y`-tagged sibling after them (the `+element` region, "x
+    /// before y"), aggregated per parent.
     fn sibling_before(&mut self, x: TagId, pid: Pid, y: TagId, count: u64);
 }
 
 /// Per-open-element frame of pass B. Its id words live in the labeler's
-/// flat word stack, not here.
+/// flat word stack and its sibling state in the labeler's per-depth
+/// [`Siblings`], not here.
 #[derive(Debug)]
 struct Frame {
     tag: TagId,
+    /// This element's node in the labeler's path trie.
+    node: u32,
     /// Pre-order index of this element.
     pre: u64,
     has_child: bool,
-    /// Number of element children closed so far.
-    children: usize,
-    /// First child position per child tag (the DOM scan's `first[]`).
-    first: HandleMap<TagId, usize>,
-    /// Children closed so far, grouped by `(tag, temporary pid)`.
-    counts: HandleMap<(TagId, Pid), u64>,
-    /// Snapshot of `counts` taken just before the most recent `y`-tagged
-    /// child was added — at parent close this holds, for each `y`, every
-    /// sibling group strictly before the *last* `y` child (the DOM scan's
-    /// `last[y] > k` test, aggregated).
-    before_last: HandleMap<TagId, HandleMap<(TagId, Pid), u64>>,
 }
 
-impl Frame {
-    fn new(tag: TagId, pre: u64) -> Self {
-        Frame {
-            tag,
-            pre,
-            has_child: false,
-            children: 0,
-            first: HandleMap::default(),
-            counts: HandleMap::default(),
-            before_last: HandleMap::default(),
+/// The children of one `(tag, temporary pid)` group under an open parent.
+#[derive(Debug)]
+struct Group {
+    tag: TagId,
+    pid: Pid,
+    /// Children closed so far.
+    count: u64,
+    /// Position of the latest of them among the parent's children.
+    last: usize,
+    /// Per tag slot: the group's children before that tag's last
+    /// position, as of the group's latest child (see [`Siblings`]);
+    /// slots past the end read 0.
+    before: Vec<u64>,
+}
+
+/// One distinct child tag of an open parent.
+#[derive(Debug)]
+struct ChildTag {
+    tag: TagId,
+    /// Position of the latest child with this tag.
+    last: usize,
+    /// `snapshot[at..at + len]`: the counts of the parent's groups
+    /// `0..len` right after this tag's first child closed.
+    at: usize,
+    len: usize,
+}
+
+/// The sibling-order state of one open element, over the children closed
+/// so far: O(distinct child groups × distinct child tags), never
+/// O(children). One is kept per depth and cleared for the next element
+/// at that depth, so its tables are allocated once per depth.
+///
+/// At the parent's close, for group `g` and child tag `y`, the DOM
+/// scan's counts are
+/// - `after(g, y)`, the `g` children after `y`'s first position:
+///   `g.count` minus the `g` children at or before it, which the
+///   snapshot taken when `y` first appears holds;
+/// - `before(g, y)`, the `g` children before `y`'s last position:
+///   `g.count` when `y`'s last child came after `g`'s, otherwise the
+///   value settled into `g.before` when `g` last grew. Each new `g` child
+///   settles every tag that arrived since `g`'s previous one, at the
+///   count before it, so nothing is copied per child.
+#[derive(Debug, Default)]
+struct Siblings {
+    /// Children closed so far.
+    children: usize,
+    /// Distinct child tags in first-seen order; a tag's index here is its
+    /// slot.
+    tags: Vec<ChildTag>,
+    group_of: HandleMap<(TagId, Pid), u32>,
+    groups: Vec<Group>,
+    /// Group counts snapshot at each tag's first child (see [`ChildTag`]).
+    snapshot: Vec<u64>,
+}
+
+impl Siblings {
+    fn clear(&mut self) {
+        self.children = 0;
+        self.tags.clear();
+        self.group_of.clear();
+        self.groups.clear();
+        self.snapshot.clear();
+    }
+
+    /// A child of tag `x` with temporary id `pid` closed.
+    fn push(&mut self, x: TagId, pid: Pid) {
+        let k = self.children;
+        self.children += 1;
+        let next = self.groups.len() as u32;
+        let g = *self.group_of.entry((x, pid)).or_insert(next);
+        if g == next {
+            self.groups.push(Group {
+                tag: x,
+                pid,
+                count: 0,
+                last: 0,
+                before: Vec::new(),
+            });
+        }
+        let group = &mut self.groups[g as usize];
+        let (count, group_last) = (group.count, group.last);
+        group.count += 1;
+        group.last = k;
+        if count > 0 && group.before.len() < self.tags.len() {
+            group.before.resize(self.tags.len(), 0);
+        }
+        let mut seen = false;
+        for (slot, child_tag) in self.tags.iter_mut().enumerate() {
+            // Settle tags whose last child came after the group's
+            // previous one; for `x` itself every earlier child of the
+            // group precedes this one, now the last `x`.
+            let is_x = child_tag.tag == x;
+            if count > 0 && (is_x || child_tag.last > group_last) {
+                group.before[slot] = count;
+            }
+            if is_x {
+                child_tag.last = k;
+                seen = true;
+            }
+        }
+        if !seen {
+            self.tags.push(ChildTag {
+                tag: x,
+                last: k,
+                at: self.snapshot.len(),
+                len: self.groups.len(),
+            });
+            self.snapshot
+                .extend(self.groups.iter().map(|group| group.count));
+        }
+    }
+
+    /// Reports every nonzero `(group, tag)` count of the closing parent.
+    fn flush<S: StreamSink>(&self, sink: &mut S) {
+        for (g, group) in self.groups.iter().enumerate() {
+            for (slot, child_tag) in self.tags.iter().enumerate() {
+                let at_first = if g < child_tag.len {
+                    self.snapshot[child_tag.at + g]
+                } else {
+                    0
+                };
+                let after = group.count - at_first;
+                if after > 0 {
+                    sink.siblings_after(group.tag, group.pid, child_tag.tag, after);
+                }
+                let before = if child_tag.last > group.last {
+                    group.count
+                } else {
+                    group.before.get(slot).copied().unwrap_or(0)
+                };
+                if before > 0 {
+                    sink.sibling_before(group.tag, group.pid, child_tag.tag, before);
+                }
+            }
         }
     }
 }
@@ -174,8 +314,9 @@ impl StreamLabeling {
 
 /// Pass B: assigns path ids from open/close events, retiring each element
 /// into a [`StreamSink`] at its close. Live state is the open-element
-/// stack — O(depth) frames, each O(width + distinct child groups) — plus
-/// the distinct-pid interner; nothing is proportional to node count.
+/// stack — O(depth) frames, each O(width + distinct child groups ×
+/// distinct child tags) — plus the distinct-pid interner; nothing is
+/// proportional to node count.
 #[derive(Debug)]
 pub struct StreamLabeler<'a> {
     tags: &'a TagInterner,
@@ -192,6 +333,15 @@ pub struct StreamLabeler<'a> {
     /// Per temporary pid: minimal pre-order index over its occurrences.
     first_pre: Vec<u64>,
     frames: Vec<Frame>,
+    /// `siblings[d]`: the sibling state of the open frame at depth `d`
+    /// once it has a child (kept past its close, cleared for reuse).
+    siblings: Vec<Siblings>,
+    /// Label paths seen so far; a node's encoding is looked up in
+    /// `encoding` at the first leaf that ends there.
+    trie: PathTrie,
+    /// Per encoding: the temporary pid of a leaf on that path, once
+    /// interned (a leaf's id is its path's single bit).
+    leaf_pid: Vec<Option<Pid>>,
     path: Vec<TagId>,
     next_pre: u64,
 }
@@ -210,6 +360,9 @@ impl<'a> StreamLabeler<'a> {
             temp: PidInterner::new(width),
             first_pre: Vec::new(),
             frames: Vec::new(),
+            siblings: Vec::new(),
+            trie: PathTrie::default(),
+            leaf_pid: vec![None; width as usize + 1],
             path: Vec::new(),
             next_pre: 0,
         }
@@ -231,11 +384,30 @@ impl<'a> StreamLabeler<'a> {
             .tags
             .get(name)
             .expect("tag not in pass-A vocabulary: passes saw different streams");
-        if let Some(parent) = self.frames.last_mut() {
-            parent.has_child = true;
-        }
+        let depth = self.frames.len();
+        let parent = match self.frames.last_mut() {
+            Some(parent) => {
+                if !parent.has_child {
+                    // The parent's first child: its sibling state starts
+                    // empty (childless elements never touch theirs).
+                    parent.has_child = true;
+                    match self.siblings.get_mut(depth - 1) {
+                        Some(siblings) => siblings.clear(),
+                        None => self.siblings.push(Siblings::default()),
+                    }
+                }
+                parent.node
+            }
+            None => PathTrie::ROOT,
+        };
+        let node = self.trie.step(parent, tag);
         self.path.push(tag);
-        self.frames.push(Frame::new(tag, self.next_pre));
+        self.frames.push(Frame {
+            tag,
+            node,
+            pre: self.next_pre,
+            has_child: false,
+        });
         self.bits.resize(self.bits.len() + self.words, 0);
         self.next_pre += 1;
     }
@@ -247,17 +419,23 @@ impl<'a> StreamLabeler<'a> {
     /// Panics on a close without a matching open, or (for a leaf) on a
     /// root-to-leaf path pass A never interned.
     pub fn close<S: StreamSink>(&mut self, sink: &mut S) {
-        let mut frame = self.frames.pop().expect("close without open");
+        let frame = self.frames.pop().expect("close without open");
         let top = self.bits.len() - self.words;
         let (outer, own) = self.bits.split_at_mut(top);
-        if !frame.has_child {
-            let enc = self
-                .encoding
-                .encoding_of(&self.path)
-                .expect("leaf path not in pass-A encoding table");
-            PathIdBits::set_in(own, enc);
-        }
-        let pid = self.temp.intern_words(own);
+        let pid = if frame.has_child {
+            self.temp.intern_words(own)
+        } else {
+            let slot = &mut self.trie.encoding[frame.node as usize];
+            if *slot == 0 {
+                *slot = self
+                    .encoding
+                    .encoding_of(&self.path)
+                    .expect("leaf path not in pass-A encoding table");
+            }
+            PathIdBits::set_in(own, *slot);
+            let temp = &mut self.temp;
+            *self.leaf_pid[*slot as usize].get_or_insert_with(|| temp.intern_words(own))
+        };
         if let Some(parent) = outer.len().checked_sub(self.words) {
             crate::words::or_assign(&mut outer[parent..], own);
         }
@@ -270,37 +448,14 @@ impl<'a> StreamLabeler<'a> {
         }
         sink.element(frame.tag, pid, frame.pre);
 
-        // Flush the `+element` (before) region of this element's own
-        // children: everything counted strictly before the last `y`.
-        for (y, groups) in frame.before_last.drain() {
-            for ((x, x_pid), count) in groups {
-                if count > 0 {
-                    sink.sibling_before(x, x_pid, y, count);
-                }
-            }
+        let depth = self.frames.len();
+        if frame.has_child {
+            self.siblings[depth].flush(sink);
         }
-
         self.path.pop();
-        let Some(parent) = self.frames.last_mut() else {
-            debug_assert!(self.path.is_empty());
-            return;
-        };
-
-        // Sibling order, emitted online as children close. `element+`
-        // (after): this child has a `y` sibling before it iff `y`'s first
-        // position precedes it — known now. `+element` (before) needs
-        // `last[y]`, unknown until the parent closes, so snapshot the
-        // sibling groups seen before each latest `y` instead.
-        let k = parent.children;
-        for (&y, &first_y) in &parent.first {
-            if first_y < k {
-                sink.sibling_after(frame.tag, pid, y);
-            }
+        if let Some(parent) = depth.checked_sub(1) {
+            self.siblings[parent].push(frame.tag, pid);
         }
-        parent.before_last.insert(frame.tag, parent.counts.clone());
-        *parent.counts.entry((frame.tag, pid)).or_insert(0) += 1;
-        parent.first.entry(frame.tag).or_insert(k);
-        parent.children = k + 1;
     }
 
     /// Renumbers the temporary pid space into the DOM's first-encounter
@@ -337,7 +492,7 @@ mod tests {
     #[derive(Default)]
     struct Recorder {
         elements: Vec<(TagId, Pid, u64)>,
-        after: Vec<(TagId, Pid, TagId)>,
+        after: Vec<(TagId, Pid, TagId, u64)>,
         before: Vec<(TagId, Pid, TagId, u64)>,
     }
 
@@ -346,7 +501,10 @@ mod tests {
             self.elements.push((tag, pid, pre_index));
         }
         fn sibling_after(&mut self, x: TagId, pid: Pid, y: TagId) {
-            self.after.push((x, pid, y));
+            self.after.push((x, pid, y, 1));
+        }
+        fn siblings_after(&mut self, x: TagId, pid: Pid, y: TagId, count: u64) {
+            self.after.push((x, pid, y, count));
         }
         fn sibling_before(&mut self, x: TagId, pid: Pid, y: TagId, count: u64) {
             self.before.push((x, pid, y, count));
@@ -429,6 +587,10 @@ mod tests {
             "<r><x/><x/><x/></r>",
             "<r><a><b/></a></r>",
             "<r>t<x/> <y/>u<x/></r>",
+            // Groups that grow again after other tags arrived, with two
+            // pids per tag and runs of one group.
+            "<r><x/><y/><x><z/></x><y/><x/><x/><z/><x><z/></x><y/><y><q/></y><x/></r>",
+            "<r><a><b/><c/><b/></a><c/><a><c/></a><a><b/><c/><b/></a><c/><c/></r>",
         ] {
             let doc = parse_document(input).unwrap();
             let dom = Labeling::compute(&doc);
@@ -459,8 +621,8 @@ mod tests {
             }
 
             let mut got_after: HashMap<(TagId, Pid, TagId), u64> = HashMap::new();
-            for (x, p, y) in &rec.after {
-                *got_after.entry((*x, stream.resolve(*p), *y)).or_insert(0) += 1;
+            for (x, p, y, n) in &rec.after {
+                *got_after.entry((*x, stream.resolve(*p), *y)).or_insert(0) += n;
             }
             let mut got_before: HashMap<(TagId, Pid, TagId), u64> = HashMap::new();
             for (x, p, y, n) in &rec.before {

@@ -73,6 +73,11 @@ impl OHistogram {
         &self.buckets
     }
 
+    /// The path ids that have a column, unordered.
+    pub(crate) fn pids(&self) -> impl Iterator<Item = Pid> + '_ {
+        self.col_of.keys().copied()
+    }
+
     /// Serializes the histogram (summary persistence).
     pub fn encode(&self, buf: &mut Vec<u8>) {
         xpe_xml::wire::put_u32(buf, self.buckets.len() as u32);
@@ -279,6 +284,11 @@ impl OHistogramSet {
     /// The construction threshold.
     pub fn variance(&self) -> f64 {
         self.variance
+    }
+
+    /// Number of per-tag histograms.
+    pub(crate) fn tag_count(&self) -> usize {
+        self.per_tag.len()
     }
 
     /// Total byte size across tags.

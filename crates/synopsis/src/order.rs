@@ -22,6 +22,106 @@ pub struct OrderCell {
 /// The sparse cells of one tag `X`, keyed by `(pid of X, sibling tag)`.
 pub type OrderRow = HandleMap<(Pid, TagId), OrderCell>;
 
+/// Dense cells [`OrderCells`] holds before folding them into the sparse
+/// rows: 16 Ki cells (256 KiB), or one row when a row is wider. On XMark
+/// at scale 0.1 (77 tags) a 64 Ki buffer saved no time and a 4 Ki one
+/// cost half again; the buffer is also a floor under the streaming
+/// build's peak heap.
+const DENSE_CELLS: usize = 1 << 14;
+
+/// Order cells under construction, dense per `(tag, pid)` group: one map
+/// probe finds a group's row slot, and the row holds one cell per sibling
+/// tag, so the per-sibling-tag updates index an array. Both the DOM build
+/// and the streaming sink accumulate here.
+///
+/// Rows are `tag_count` cells wide whatever few sibling tags a group
+/// meets, so a document with many tags and many groups would need
+/// `groups × tags` cells. The dense rows are therefore a bounded buffer:
+/// when the next row would pass [`DENSE_CELLS`], the rows are added into
+/// the sparse per-tag rows and the buffer starts over. Memory stays
+/// within the buffer plus the nonzero cells.
+#[derive(Debug)]
+pub(crate) struct OrderCells {
+    tag_count: usize,
+    slot_of: HandleMap<(TagId, Pid), u32>,
+    /// The group of each slot.
+    groups: Vec<(TagId, Pid)>,
+    /// `tag_count` cells per slot.
+    cells: Vec<OrderCell>,
+    /// The group and slot of the previous [`row`](Self::row) call:
+    /// updates arrive in runs per group.
+    recent: Option<((TagId, Pid), u32)>,
+    /// The nonzero cells folded out of the buffer so far, per tag.
+    rows: Vec<OrderRow>,
+}
+
+impl OrderCells {
+    pub(crate) fn new(tag_count: usize) -> Self {
+        OrderCells {
+            tag_count,
+            slot_of: HandleMap::default(),
+            groups: Vec::new(),
+            cells: Vec::new(),
+            recent: None,
+            rows: vec![OrderRow::default(); tag_count],
+        }
+    }
+
+    /// The cells of the group `(x, pid)`, indexed by sibling tag; zeroed
+    /// on first sight.
+    #[inline]
+    pub(crate) fn row(&mut self, x: TagId, pid: Pid) -> &mut [OrderCell] {
+        let group = (x, pid);
+        let slot = match self.recent {
+            Some((g, slot)) if g == group => slot,
+            _ => {
+                let next = self.groups.len() as u32;
+                let mut slot = *self.slot_of.entry(group).or_insert(next);
+                if slot == next {
+                    if !self.cells.is_empty() && self.cells.len() + self.tag_count > DENSE_CELLS {
+                        self.fold();
+                        self.slot_of.insert(group, 0);
+                        slot = 0;
+                    }
+                    self.groups.push(group);
+                    self.cells
+                        .resize(self.cells.len() + self.tag_count, OrderCell::default());
+                }
+                self.recent = Some((group, slot));
+                slot
+            }
+        };
+        &mut self.cells[slot as usize * self.tag_count..][..self.tag_count]
+    }
+
+    /// Adds the buffered rows' nonzero cells into the sparse rows and
+    /// empties the buffer.
+    fn fold(&mut self) {
+        let width = self.tag_count.max(1);
+        for (&(x, pid), cells) in self.groups.iter().zip(self.cells.chunks_exact(width)) {
+            for (y, &cell) in cells.iter().enumerate() {
+                if cell.before > 0 || cell.after > 0 {
+                    let sum = self.rows[x.index()]
+                        .entry((pid, TagId::from_index(y)))
+                        .or_default();
+                    sum.before += cell.before;
+                    sum.after += cell.after;
+                }
+            }
+        }
+        self.slot_of.clear();
+        self.groups.clear();
+        self.cells.clear();
+        self.recent = None;
+    }
+
+    /// The nonzero cells as sparse rows, one per tag.
+    pub(crate) fn into_rows(mut self) -> Vec<OrderRow> {
+        self.fold();
+        self.rows
+    }
+}
+
 /// Sibling-order statistics for every tag.
 #[derive(Clone, Debug)]
 pub struct PathOrderTable {
@@ -30,14 +130,16 @@ pub struct PathOrderTable {
 }
 
 impl PathOrderTable {
-    /// Collects sibling order information in one pass over all parents.
+    /// Collects sibling order information in one pass over all parents:
+    /// each child finds its `(tag, pid)` group's dense row of cells with
+    /// one map probe and adds to it once per sibling tag of its parent.
     pub fn build(doc: &Document, labeling: &Labeling) -> Self {
         let tag_count = doc.tags().len();
-        let mut rows: Vec<OrderRow> = vec![OrderRow::default(); tag_count];
         // Scratch: first/last sibling position per tag, reset per parent.
         let mut first = vec![usize::MAX; tag_count];
         let mut last = vec![usize::MAX; tag_count];
         let mut touched: Vec<usize> = Vec::new();
+        let mut cells = OrderCells::new(tag_count);
 
         for parent in doc.node_ids() {
             let children = doc.children(parent);
@@ -53,18 +155,11 @@ impl PathOrderTable {
                 last[t] = k;
             }
             for (k, &c) in children.iter().enumerate() {
-                let x = doc.tag(c).index();
-                let pid = labeling.pid(c);
+                let row = cells.row(doc.tag(c), labeling.pid(c));
                 for &y in &touched {
-                    // `c` occurs before / after some Y sibling? One probe
-                    // updates both regions.
-                    let before = last[y] > k;
-                    let after = first[y] < k;
-                    if before || after {
-                        let cell = rows[x].entry((pid, TagId::from_index(y))).or_default();
-                        cell.before += u64::from(before);
-                        cell.after += u64::from(after);
-                    }
+                    // `c` occurs before / after some Y sibling?
+                    row[y].before += u64::from(last[y] > k);
+                    row[y].after += u64::from(first[y] < k);
                 }
             }
             for &t in &touched {
@@ -73,7 +168,9 @@ impl PathOrderTable {
             }
             touched.clear();
         }
-        PathOrderTable { rows }
+        PathOrderTable {
+            rows: cells.into_rows(),
+        }
     }
 
     /// Assembles a table from already-aggregated rows, one per tag in
@@ -202,6 +299,89 @@ mod tests {
         let lab = Labeling::compute(&doc);
         let table = PathOrderTable::build(&doc, &lab);
         assert_eq!(table.nonzero_cells(), 0);
+    }
+
+    type Cells = std::collections::HashMap<(TagId, Pid, TagId), OrderCell>;
+
+    /// The nonzero cells by definition, sibling pair by sibling pair: an
+    /// `X` child counts in `(pid, Y).before` when some later sibling is a
+    /// `Y`, and in `.after` when some earlier one is.
+    fn by_definition(doc: &Document, lab: &Labeling) -> Cells {
+        let mut expect = Cells::new();
+        for parent in doc.node_ids() {
+            let children = doc.children(parent);
+            for (k, &c) in children.iter().enumerate() {
+                let mut seen = std::collections::HashSet::new();
+                for &s in children {
+                    let y = doc.tag(s);
+                    if !seen.insert(y) {
+                        continue;
+                    }
+                    let cell = expect.entry((doc.tag(c), lab.pid(c), y)).or_default();
+                    let first_y = children.iter().position(|&o| doc.tag(o) == y).unwrap();
+                    let last_y = children.iter().rposition(|&o| doc.tag(o) == y).unwrap();
+                    cell.after += u64::from(first_y < k);
+                    cell.before += u64::from(last_y > k);
+                }
+            }
+        }
+        expect.retain(|_, c| c.before > 0 || c.after > 0);
+        expect
+    }
+
+    fn all_cells(doc: &Document, table: &PathOrderTable) -> Cells {
+        doc.tags()
+            .iter()
+            .flat_map(|(x, _)| table.cells_of(x).map(move |(p, y, c)| ((x, p, y), c)))
+            .collect()
+    }
+
+    #[test]
+    fn matches_the_per_sibling_definition() {
+        for input in [
+            "<r><y/><x/><y/><x><y/><y/></x><z/><x/></r>",
+            "<r><a><b/><c/></a><a><c/><b/><c/></a><b><a/></b><a/><a><b/></a></r>",
+            "<r><x/><x/><x/><q><x/></q><x/></r>",
+        ] {
+            let doc = xpe_xml::parse_document(input).unwrap();
+            let lab = Labeling::compute(&doc);
+            let table = PathOrderTable::build(&doc, &lab);
+            assert_eq!(
+                all_cells(&doc, &table),
+                by_definition(&doc, &lab),
+                "{input}"
+            );
+        }
+    }
+
+    /// Enough tags and groups that the dense rows fold into the sparse
+    /// ones several times, with groups that recur after a fold.
+    #[test]
+    fn folded_dense_rows_match_the_definition() {
+        let n = 300;
+        let mut xml = String::from("<r>");
+        for round in 0..2 {
+            for i in 0..n {
+                let j = (i * 7 + round) % n;
+                xml.push_str(&format!("<w><t{i}/><t{j}><u/></t{j}><t{i}/></w>"));
+            }
+        }
+        xml.push_str("</r>");
+        let doc = xpe_xml::parse_document(&xml).unwrap();
+        let lab = Labeling::compute(&doc);
+        let tags = doc.tags().len();
+        let groups: std::collections::HashSet<(TagId, Pid)> = doc
+            .node_ids()
+            .filter(|&c| doc.parent(c).is_some_and(|p| doc.children(p).len() > 1))
+            .map(|c| (doc.tag(c), lab.pid(c)))
+            .collect();
+        assert!(
+            groups.len() * tags > 2 * DENSE_CELLS,
+            "{} groups",
+            groups.len()
+        );
+        let table = PathOrderTable::build(&doc, &lab);
+        assert_eq!(all_cells(&doc, &table), by_definition(&doc, &lab));
     }
 
     #[test]

@@ -4,8 +4,9 @@
 //! document) and consulted forever after; [`Summary::to_bytes`] /
 //! [`Summary::from_bytes`] let applications ship it without the document.
 //! The payload is the versioned little-endian encoding of
-//! [`xpe_xml::wire`]; the path-id binary tree is rebuilt from the interned
-//! ids on load (it is derived data), and build timings are not persisted.
+//! [`xpe_xml::wire`]; the path-id binary tree is derived data (built from
+//! the interned ids when [`Summary::sizes`] prices it), and build timings
+//! are not persisted.
 //!
 //! # Integrity envelope (format version 2)
 //!
@@ -26,9 +27,9 @@
 use std::io::{self, Read, Write};
 use std::path::Path;
 
-use xpe_pathid::{EncodingTable, PathIdTree, PidInterner};
+use xpe_pathid::{EncodingTable, PidInterner};
 use xpe_xml::wire::{self, Reader, WireError};
-use xpe_xml::TagInterner;
+use xpe_xml::{TagId, TagInterner};
 
 use crate::ohistogram::OHistogramSet;
 use crate::phistogram::PHistogramSet;
@@ -141,6 +142,50 @@ pub(crate) fn validated_payload(bytes: &[u8]) -> Result<(u32, &[u8]), LoadError>
     }
 }
 
+/// Refuses a payload whose sections decode on their own but disagree
+/// with each other. The estimator indexes the per-tag histogram sets by
+/// tag id and its pid bitmaps by pid, so an image whose histogram sets
+/// do not hold one histogram per tag, or whose encoding paths, histogram
+/// buckets or o-histogram columns name a tag or pid that was never
+/// interned, would load and then panic at its first estimate. A CRC only
+/// proves the bytes are the ones written, not that a well-meaning writer
+/// wrote them. [`SummaryView::parse`](crate::SummaryView::parse) applies
+/// the same rules in place.
+fn check_cross_references(
+    tags: &TagInterner,
+    encoding: &EncodingTable,
+    pids: &PidInterner,
+    phist: &PHistogramSet,
+    ohist: &OHistogramSet,
+) -> Result<(), WireError> {
+    let (tag_count, pid_count) = (tags.len(), pids.len());
+    if phist.tag_count() != tag_count {
+        return Err(WireError::BadHeader(
+            "p-histogram count disagrees with tag count",
+        ));
+    }
+    if ohist.tag_count() != tag_count {
+        return Err(WireError::BadHeader(
+            "o-histogram count disagrees with tag count",
+        ));
+    }
+    if encoding
+        .iter()
+        .any(|(_, path)| path.iter().any(|t| t.index() >= tag_count))
+    {
+        return Err(WireError::BadHeader("encoding path names an unknown tag"));
+    }
+    for tag in (0..tag_count).map(TagId::from_index) {
+        let mut named = (phist.histogram(tag).buckets().iter())
+            .flat_map(|b| b.pids.iter().copied())
+            .chain(ohist.histogram(tag).pids());
+        if named.any(|pid| pid.index() >= pid_count) {
+            return Err(WireError::BadHeader("histogram names an unknown pid"));
+        }
+    }
+    Ok(())
+}
+
 impl Summary {
     /// Serializes the summary payload fields (everything between the
     /// header and the trailer), shared by every format version.
@@ -186,7 +231,7 @@ impl Summary {
         let phist = PHistogramSet::decode(r)?;
         let ohist = OHistogramSet::decode(r)?;
         r.expect_exhausted()?;
-        let pid_tree = PathIdTree::new(&pids);
+        check_cross_references(&tags, &encoding, &pids, &phist, &ohist)?;
         // Derived indexes (like the p-histograms' entry lists) are rebuilt
         // from the decoded structures rather than persisted.
         let root_pids = crate::rootpids::RootPidIndex::build(&encoding, &pids);
@@ -194,7 +239,6 @@ impl Summary {
             tags,
             encoding,
             pids,
-            pid_tree,
             phist,
             ohist,
             config,
@@ -285,7 +329,7 @@ mod tests {
         assert_eq!(s2.config, s.config);
         assert_eq!(s2.sizes().p_histograms, s.sizes().p_histograms);
         assert_eq!(s2.sizes().o_histograms, s.sizes().o_histograms);
-        assert_eq!(s2.pid_tree.len(), s.pid_tree.len());
+        assert_eq!(s2.sizes().pid_tree, s.sizes().pid_tree);
 
         // Histogram lookups agree for every (tag, pid).
         for (tag, _) in s.tags.iter() {

@@ -22,12 +22,12 @@
 
 use std::time::Instant;
 
-use xpe_pathid::{HandleMap, PathIdTree, PathScan, Pid, StreamLabeler, StreamSink};
+use xpe_pathid::{HandleMap, PathScan, Pid, StreamLabeler, StreamSink};
 use xpe_xml::{ParseError, StreamEvent, StreamParser, TagId};
 
 use crate::freq::PathIdFrequencyTable;
 use crate::ohistogram::OHistogramSet;
-use crate::order::{OrderRow, PathOrderTable};
+use crate::order::{OrderCells, PathOrderTable};
 use crate::phistogram::PHistogramSet;
 use crate::rootpids::RootPidIndex;
 use crate::summary::{BuildTimings, Summary, SummaryConfig};
@@ -37,15 +37,15 @@ use crate::summary::{BuildTimings, Summary, SummaryConfig};
 struct StatsSink {
     /// Per tag: pid → (frequency, minimal pre-order index).
     freq: Vec<HandleMap<Pid, (u64, u64)>>,
-    /// Per tag: the path-order cells.
-    order: Vec<OrderRow>,
+    /// The path-order cells.
+    order: OrderCells,
 }
 
 impl StatsSink {
     fn new(tag_count: usize) -> Self {
         StatsSink {
             freq: vec![HandleMap::default(); tag_count],
-            order: vec![OrderRow::default(); tag_count],
+            order: OrderCells::new(tag_count),
         }
     }
 }
@@ -58,11 +58,15 @@ impl StreamSink for StatsSink {
     }
 
     fn sibling_after(&mut self, x: TagId, pid: Pid, y: TagId) {
-        self.order[x.index()].entry((pid, y)).or_default().after += 1;
+        self.siblings_after(x, pid, y, 1);
+    }
+
+    fn siblings_after(&mut self, x: TagId, pid: Pid, y: TagId, count: u64) {
+        self.order.row(x, pid)[y.index()].after += count;
     }
 
     fn sibling_before(&mut self, x: TagId, pid: Pid, y: TagId, count: u64) {
-        self.order[x.index()].entry((pid, y)).or_default().before += count;
+        self.order.row(x, pid)[y.index()].before += count;
     }
 }
 
@@ -120,9 +124,7 @@ impl Summary {
             })
             .collect();
         let freq = PathIdFrequencyTable::from_rows(freq_rows);
-        let order_rows: Vec<OrderRow> = sink
-            .order
-            .into_iter()
+        let order_rows = (sink.order.into_rows().into_iter())
             .map(|row| {
                 row.into_iter()
                     .map(|((temp, y), cell)| ((labeling.resolve(temp), y), cell))
@@ -141,13 +143,11 @@ impl Summary {
             OHistogramSet::build_with_threads(&order, &phist, &tags, config.o_variance, threads);
         let build_o = t3.elapsed();
 
-        let pid_tree = PathIdTree::new(&labeling.interner);
         let root_pids = RootPidIndex::build(&encoding, &labeling.interner);
         Ok(Summary {
             tags,
             encoding,
             pids: labeling.interner,
-            pid_tree,
             phist,
             ohist,
             config,
@@ -204,6 +204,18 @@ mod tests {
         ] {
             assert_bit_identical(input, SummaryConfig::default());
         }
+    }
+
+    #[test]
+    fn streaming_build_is_bit_identical_with_many_tags() {
+        // Wide enough that the order cells fold their dense rows.
+        let mut xml = String::from("<r>");
+        for i in 0..300 {
+            let j = (i * 7) % 300;
+            xml.push_str(&format!("<w><t{i}/><t{j}><u/></t{j}><t{i}/></w>"));
+        }
+        xml.push_str("</r>");
+        assert_bit_identical(&xml, SummaryConfig::default());
     }
 
     #[test]

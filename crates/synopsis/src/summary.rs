@@ -137,10 +137,10 @@ pub struct Summary {
     pub tags: TagInterner,
     /// Distinct root-to-leaf paths.
     pub encoding: EncodingTable,
-    /// Distinct path ids.
+    /// Distinct path ids. Their compressed binary tree (the paper's
+    /// storage form, priced by [`sizes`](Self::sizes)) is derived from
+    /// them on demand; nothing consults it to estimate.
     pub pids: PidInterner,
-    /// Compressed index over the ids.
-    pub pid_tree: PathIdTree,
     /// Path summaries.
     pub phist: PHistogramSet,
     /// Order summaries.
@@ -185,14 +185,12 @@ impl Summary {
         );
         let build_o = t3.elapsed();
 
-        let pid_tree = PathIdTree::new(&labeling.interner);
         let root_pids = RootPidIndex::build(&labeling.encoding, &labeling.interner);
 
         Summary {
             tags: doc.tags().clone(),
             encoding: labeling.encoding,
             pids: labeling.interner,
-            pid_tree,
             phist,
             ohist,
             config,
@@ -245,7 +243,6 @@ impl Summary {
             tags: tags.clone(),
             encoding: labeling.encoding.clone(),
             pids: labeling.interner.clone(),
-            pid_tree: PathIdTree::new(&labeling.interner),
             phist,
             ohist,
             config,
@@ -280,12 +277,13 @@ impl Summary {
         self.ohist.count(x_tag, pid, y_tag, region)
     }
 
-    /// Byte sizes of every component.
+    /// Byte sizes of every component. The path-id tree is built here to
+    /// be priced.
     pub fn sizes(&self) -> SummarySizes {
         SummarySizes {
             encoding_table: self.encoding.size_bytes(),
             pid_table: self.pids.table_size_bytes(),
-            pid_tree: self.pid_tree.size_bytes(),
+            pid_tree: PathIdTree::new(&self.pids).size_bytes(),
             p_histograms: self.phist.size_bytes(),
             o_histograms: self.ohist.size_bytes(),
         }
@@ -302,7 +300,7 @@ mod tests {
         let s = Summary::build(&doc, SummaryConfig::default());
         assert_eq!(s.encoding.len(), 4);
         assert_eq!(s.pids.len(), 9);
-        assert_eq!(s.pid_tree.len(), 9);
+        assert_eq!(PathIdTree::new(&s.pids).len(), 9);
         let sizes = s.sizes();
         assert!(sizes.encoding_table > 0);
         assert!(sizes.p_histograms > 0);

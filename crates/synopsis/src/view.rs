@@ -112,7 +112,9 @@ impl<'a> SummaryView<'a> {
         let encoding_count = r.u32()?;
         for _ in 0..encoding_count {
             let len = r.u32()? as usize;
-            r.bytes(len * 4)?;
+            if any_at_least(r.bytes(len * 4)?, tag_count) {
+                return Err(WireError::BadHeader("encoding path names an unknown tag").into());
+            }
         }
 
         // Pid interner: u32 width, u32 count, then set-bit lists.
@@ -134,6 +136,9 @@ impl<'a> SummaryView<'a> {
         let phist_start = r.position();
         let _p_set_variance = r.f64()?;
         let p_tags = r.u32()?;
+        if p_tags != tag_count {
+            return Err(WireError::BadHeader("p-histogram count disagrees with tag count").into());
+        }
         let mut p_buckets: u64 = 0;
         for _ in 0..p_tags {
             let nb = r.u32()?;
@@ -141,7 +146,9 @@ impl<'a> SummaryView<'a> {
             for _ in 0..nb {
                 r.f64()?;
                 let np = r.u32()? as usize;
-                r.bytes(np * 4)?;
+                if any_at_least(r.bytes(np * 4)?, pid_count) {
+                    return Err(WireError::BadHeader("histogram names an unknown pid").into());
+                }
             }
         }
 
@@ -149,15 +156,25 @@ impl<'a> SummaryView<'a> {
         // per-tag histograms of 24-byte buckets plus a pid→column map.
         let ohist_start = r.position();
         let _o_set_variance = r.f64()?;
-        let o_tags = r.u32()? as usize;
-        r.bytes(o_tags * 4)?;
+        let o_tags = r.u32()?;
+        if o_tags != tag_count {
+            return Err(WireError::BadHeader("o-histogram count disagrees with tag count").into());
+        }
+        r.bytes(o_tags as usize * 4)?;
         let mut o_buckets: u64 = 0;
         for _ in 0..o_tags {
             let nb = r.u32()? as usize;
             o_buckets += nb as u64;
             r.bytes(nb * 24)?;
+            // (pid, column) pairs: the pid is the first u32 of each 8.
             let nc = r.u32()? as usize;
-            r.bytes(nc * 8)?;
+            let cols = r.bytes(nc * 8)?;
+            if cols
+                .chunks_exact(8)
+                .any(|c| any_at_least(&c[..4], pid_count))
+            {
+                return Err(WireError::BadHeader("histogram names an unknown pid").into());
+            }
         }
         let payload_end = r.position();
         r.expect_exhausted()?;
@@ -272,6 +289,14 @@ impl<'a> SummaryView<'a> {
         let mut r = Reader::new(self.payload);
         Ok(Summary::decode_payload(&mut r)?)
     }
+}
+
+/// Whether any little-endian `u32` of `bytes` (a whole number of them) is
+/// at least `bound`: a tag or pid reference to something never interned.
+fn any_at_least(bytes: &[u8], bound: u32) -> bool {
+    bytes
+        .chunks_exact(4)
+        .any(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]) >= bound)
 }
 
 #[cfg(test)]

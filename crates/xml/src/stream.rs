@@ -11,6 +11,13 @@
 //! parser rejects is rejected by the event stream with the same error, and
 //! vice versa.
 //!
+//! The hot loop does one dispatch per markup token: content reads one
+//! byte after `<` to pick close tag, `<!` construct, processing
+//! instruction or open tag; names are scanned through a byte-class table;
+//! character data is scanned eight bytes at a time for `<` and `&`. The
+//! input is checked for UTF-8 once, up front, so names and text of a
+//! valid document are borrowed without per-event validation.
+//!
 //! # Example
 //!
 //! ```
@@ -63,6 +70,77 @@ enum State {
     Done,
 }
 
+/// Byte class: may appear in a tag or attribute name (ASCII
+/// alphanumerics, `_ - . :` and every byte of a multi-byte character).
+const NAME: u8 = 1;
+/// Byte class: XML whitespace.
+const SPACE: u8 = 2;
+/// Byte class: may appear in an entity name (ASCII alphanumerics, `#`).
+const ENTITY: u8 = 4;
+
+/// The class bits of every byte value.
+static CLASS: [u8; 256] = {
+    let mut table = [0u8; 256];
+    let mut b = 0;
+    while b < 256 {
+        let c = b as u8;
+        let alnum = c.is_ascii_alphanumeric();
+        if alnum || matches!(c, b'_' | b'-' | b'.' | b':') || c >= 0x80 {
+            table[b] |= NAME;
+        }
+        if matches!(c, b' ' | b'\t' | b'\r' | b'\n') {
+            table[b] |= SPACE;
+        }
+        if alnum || c == b'#' {
+            table[b] |= ENTITY;
+        }
+        b += 1;
+    }
+    table
+};
+
+#[inline]
+fn is(class: u8, c: u8) -> bool {
+    CLASS[c as usize] & class != 0
+}
+
+/// Length of the leading run of `bytes` whose bytes are all in `class`.
+#[inline]
+fn class_run(bytes: &[u8], class: u8) -> usize {
+    bytes
+        .iter()
+        .position(|&c| !is(class, c))
+        .unwrap_or(bytes.len())
+}
+
+/// Length of the leading run of character data: bytes up to the first
+/// `<` or `&`, eight at a time.
+#[inline]
+fn text_run(bytes: &[u8]) -> usize {
+    const ONES: u64 = u64::from_ne_bytes([0x01; 8]);
+    const HIGHS: u64 = u64::from_ne_bytes([0x80; 8]);
+    const LT: u64 = u64::from_ne_bytes([b'<'; 8]);
+    const AMP: u64 = u64::from_ne_bytes([b'&'; 8]);
+    // High bit set in the lowest byte of `v` that is zero (bytes above
+    // it may be flagged spuriously, so only the lowest flag is read).
+    let zero_byte = |v: u64| v.wrapping_sub(ONES) & !v & HIGHS;
+    let mut chunks = bytes.chunks_exact(8);
+    let mut at = 0;
+    for chunk in &mut chunks {
+        let word = u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
+        let hits = zero_byte(word ^ LT) | zero_byte(word ^ AMP);
+        if hits != 0 {
+            return at + (hits.trailing_zeros() / 8) as usize;
+        }
+        at += 8;
+    }
+    let tail = chunks.remainder();
+    at + tail
+        .iter()
+        .position(|&c| c == b'<' || c == b'&')
+        .unwrap_or(tail.len())
+}
+
 /// Pull parser yielding [`StreamEvent`]s over a complete document held in
 /// (or mapped into) a byte slice.
 ///
@@ -73,6 +151,10 @@ enum State {
 #[derive(Debug)]
 pub struct StreamParser<'a> {
     bytes: &'a [u8],
+    /// `bytes` as text when the whole input is valid UTF-8 (checked once
+    /// in [`new`](Self::new)); names and text are then borrowed from it
+    /// without per-event validation. Otherwise each is decoded lossily.
+    text: Option<&'a str>,
     pos: usize,
     /// Byte ranges of the open tag names in `bytes`, innermost last
     /// (bounds nesting at [`MAX_DEPTH`]). Ranges, not owned names: an
@@ -89,6 +171,7 @@ impl<'a> StreamParser<'a> {
     pub fn new(bytes: &'a [u8]) -> Self {
         StreamParser {
             bytes,
+            text: std::str::from_utf8(bytes).ok(),
             pos: 0,
             open: Vec::new(),
             state: State::Prolog,
@@ -132,13 +215,13 @@ impl<'a> StreamParser<'a> {
             return Ok(Some(self.emit_close()));
         }
         match self.state {
-            State::Done => Ok(None),
+            State::Content => self.content_step(),
             State::Prolog => {
                 self.prolog()?;
                 self.open_tag().map(Some)
             }
-            State::Content => self.content_step(),
             State::Epilog => self.epilog_step(),
+            State::Done => Ok(None),
         }
     }
 
@@ -151,6 +234,18 @@ impl<'a> StreamParser<'a> {
         StreamEvent::Close
     }
 
+    /// The input bytes `start..end` as text: borrowed when the input is
+    /// UTF-8 (every range the tokenizer cuts starts and ends next to an
+    /// ASCII delimiter or at the input's end, so it is a character
+    /// boundary), decoded lossily otherwise.
+    #[inline]
+    fn slice(&self, start: usize, end: usize) -> Cow<'a, str> {
+        match self.text.and_then(|t| t.get(start..end)) {
+            Some(s) => Cow::Borrowed(s),
+            None => String::from_utf8_lossy(&self.bytes[start..end]),
+        }
+    }
+
     fn err(&self, kind: ParseErrorKind) -> ParseError {
         ParseError {
             offset: self.pos,
@@ -158,59 +253,51 @@ impl<'a> StreamParser<'a> {
         }
     }
 
+    #[inline]
     fn peek(&self) -> Option<u8> {
         self.bytes.get(self.pos).copied()
     }
 
-    fn starts_with(&self, s: &str) -> bool {
-        self.bytes[self.pos..].starts_with(s.as_bytes())
+    #[inline]
+    fn starts_with(&self, s: &[u8]) -> bool {
+        self.bytes[self.pos..].starts_with(s)
     }
 
-    fn bump(&mut self, n: usize) {
-        self.pos += n;
-    }
-
+    #[inline]
     fn expect(&mut self, c: u8) -> Result<(), ParseError> {
-        if self.peek() == Some(c) {
-            self.pos += 1;
-            Ok(())
-        } else if self.peek().is_none() {
-            Err(self.err(ParseErrorKind::UnexpectedEof))
-        } else {
-            Err(self.err(ParseErrorKind::Expected(c as char)))
+        match self.peek() {
+            Some(b) if b == c => {
+                self.pos += 1;
+                Ok(())
+            }
+            Some(_) => Err(self.err(ParseErrorKind::Expected(c as char))),
+            None => Err(self.err(ParseErrorKind::UnexpectedEof)),
         }
     }
 
-    fn skip_ws(&mut self) {
-        self.pos += self.run_len(|c| matches!(c, b' ' | b'\t' | b'\r' | b'\n'));
-    }
-
-    /// Length of the run of bytes from the cursor that satisfy `keep`.
     #[inline]
-    fn run_len(&self, keep: impl Fn(u8) -> bool) -> usize {
-        let rest = &self.bytes[self.pos..];
-        rest.iter().position(|&c| !keep(c)).unwrap_or(rest.len())
+    fn skip_ws(&mut self) {
+        self.pos += class_run(&self.bytes[self.pos..], SPACE);
     }
 
-    /// Length of the name token of `keep` bytes at the cursor, or
+    /// Length of the name token of `class` bytes at the cursor, or
     /// `TokenTooLong` (at the token's start) when it exceeds
     /// [`MAX_NAME_LEN`]. The scan looks at most one byte past the cap, so
     /// a hostile token is not walked to its end.
-    fn token_len(&self, keep: impl Fn(u8) -> bool) -> Result<usize, ParseError> {
+    #[inline]
+    fn token_len(&self, class: u8) -> Result<usize, ParseError> {
         let rest = &self.bytes[self.pos..];
-        let window = &rest[..rest.len().min(MAX_NAME_LEN + 1)];
-        let len = window
-            .iter()
-            .position(|&c| !keep(c))
-            .unwrap_or(window.len());
+        let len = class_run(&rest[..rest.len().min(MAX_NAME_LEN + 1)], class);
         if len > MAX_NAME_LEN {
             return Err(self.err(ParseErrorKind::TokenTooLong));
         }
         Ok(len)
     }
 
-    fn skip_until(&mut self, end: &str) -> Result<(), ParseError> {
-        match find_sub(&self.bytes[self.pos..], end.as_bytes()) {
+    /// Moves the cursor past the next `end`, or to the input's end with
+    /// `UnexpectedEof` when there is none.
+    fn skip_until(&mut self, end: &[u8]) -> Result<(), ParseError> {
+        match find_sub(&self.bytes[self.pos..], end) {
             Some(i) => {
                 self.pos += i + end.len();
                 Ok(())
@@ -225,13 +312,13 @@ impl<'a> StreamParser<'a> {
     fn prolog(&mut self) -> Result<(), ParseError> {
         loop {
             self.skip_ws();
-            if self.starts_with("<?") {
-                self.bump(2);
-                self.skip_until("?>")?;
-            } else if self.starts_with("<!--") {
-                self.bump(4);
-                self.skip_until("-->")?;
-            } else if self.starts_with("<!DOCTYPE") || self.starts_with("<!doctype") {
+            if self.starts_with(b"<?") {
+                self.pos += 2;
+                self.skip_until(b"?>")?;
+            } else if self.starts_with(b"<!--") {
+                self.pos += 4;
+                self.skip_until(b"-->")?;
+            } else if self.starts_with(b"<!DOCTYPE") || self.starts_with(b"<!doctype") {
                 self.doctype()?;
             } else {
                 return Ok(());
@@ -241,34 +328,28 @@ impl<'a> StreamParser<'a> {
 
     /// Skips a DOCTYPE declaration, including a bracketed internal subset.
     fn doctype(&mut self) -> Result<(), ParseError> {
-        self.bump("<!DOCTYPE".len());
+        self.pos += b"<!DOCTYPE".len();
         let mut depth = 0usize;
         loop {
             match self.peek() {
                 None => return Err(self.err(ParseErrorKind::UnexpectedEof)),
-                Some(b'[') => {
-                    depth += 1;
-                    self.pos += 1;
-                }
-                Some(b']') => {
-                    depth = depth.saturating_sub(1);
-                    self.pos += 1;
-                }
+                Some(b'[') => depth += 1,
+                Some(b']') => depth = depth.saturating_sub(1),
                 Some(b'>') if depth == 0 => {
                     self.pos += 1;
                     return Ok(());
                 }
-                Some(_) => self.pos += 1,
+                Some(_) => {}
             }
+            self.pos += 1;
         }
     }
 
     /// Consumes a name token, returning its byte range in the input.
+    #[inline]
     fn name_range(&mut self) -> Result<(usize, usize), ParseError> {
         let start = self.pos;
-        let len = self.token_len(|c| {
-            c.is_ascii_alphanumeric() || matches!(c, b'_' | b'-' | b'.' | b':') || c >= 0x80
-        })?;
+        let len = self.token_len(NAME)?;
         if len == 0 {
             return Err(self.err(ParseErrorKind::BadName));
         }
@@ -291,33 +372,54 @@ impl<'a> StreamParser<'a> {
         self.expect(b'<')?;
         let (start, end) = self.name_range()?;
         self.open.push((start, end));
-        self.attributes()?;
-        self.skip_ws();
-        if self.starts_with("/>") {
-            self.bump(2);
-            self.pending_close = true;
+        // `<a>` is the common shape: one byte settles it. Anything else
+        // takes the attribute loop.
+        if self.peek() == Some(b'>') {
+            self.pos += 1;
         } else {
-            self.expect(b'>')?;
+            self.attributes()?;
+            if self.starts_with(b"/>") {
+                self.pos += 2;
+                self.pending_close = true;
+            } else {
+                self.expect(b'>')?;
+            }
         }
         self.state = State::Content;
         Ok(StreamEvent::Open {
-            name: String::from_utf8_lossy(&self.bytes[start..end]),
+            name: self.slice(start, end),
         })
     }
 
     fn close_tag(&mut self) -> Result<StreamEvent<'a>, ParseError> {
-        self.bump(2);
-        let (start, end) = self.name_range()?;
-        self.skip_ws();
-        self.expect(b'>')?;
-        let found = &self.bytes[start..end];
+        self.pos += 2;
         let open = self
             .open
             .last()
             .map_or(&[][..], |&(s, e)| &self.bytes[s..e]);
+        // A close tag that spells the open name, followed by a byte that
+        // cannot continue a name, is that name token: the open name was
+        // validated when it opened. Anything else is scanned afresh.
+        let rest = &self.bytes[self.pos..];
+        let spelled = !open.is_empty()
+            && rest.starts_with(open)
+            && !rest.get(open.len()).is_some_and(|&c| is(NAME, c));
+        let found = if spelled {
+            self.pos += open.len();
+            open
+        } else {
+            let (start, end) = self.name_range()?;
+            &self.bytes[start..end]
+        };
+        if self.peek() != Some(b'>') {
+            self.skip_ws();
+            self.expect(b'>')?;
+        } else {
+            self.pos += 1;
+        }
         // Compare raw bytes: two names that differ only in invalid UTF-8
         // decode to the same lossy string but are different tags.
-        if open != found {
+        if !spelled && open != found {
             return Err(self.err(ParseErrorKind::MismatchedTag {
                 open: String::from_utf8_lossy(open).into_owned(),
                 found: String::from_utf8_lossy(found).into_owned(),
@@ -345,54 +447,59 @@ impl<'a> StreamParser<'a> {
             self.pos += 1;
             // Attribute values are validated but not reported: the
             // estimation system summarises element structure only.
-            self.pos += self.run_len(|c| c != quote);
+            let rest = &self.bytes[self.pos..];
+            self.pos += rest.iter().position(|&c| c == quote).unwrap_or(rest.len());
             self.expect(quote)?;
         }
     }
 
     fn content_step(&mut self) -> Result<Option<StreamEvent<'a>>, ParseError> {
         loop {
-            match self.peek() {
-                None => return Err(self.err(ParseErrorKind::UnexpectedEof)),
-                Some(b'<') => {
-                    if self.starts_with("</") {
-                        return self.close_tag().map(Some);
-                    } else if self.starts_with("<!--") {
-                        self.bump(4);
-                        self.skip_until("-->")?;
-                    } else if self.starts_with("<![CDATA[") {
-                        self.bump(9);
-                        let start = self.pos;
-                        match find_sub(&self.bytes[self.pos..], b"]]>") {
-                            Some(i) => {
-                                self.pos = start + i + 3;
-                                return Ok(Some(StreamEvent::Text(String::from_utf8_lossy(
-                                    &self.bytes[start..start + i],
-                                ))));
-                            }
-                            None => {
-                                self.pos = self.bytes.len();
-                                return Err(self.err(ParseErrorKind::UnexpectedEof));
-                            }
-                        }
-                    } else if self.starts_with("<?") {
-                        self.bump(2);
-                        self.skip_until("?>")?;
-                    } else {
-                        return self.open_tag().map(Some);
+            let Some(&b) = self.bytes.get(self.pos) else {
+                return Err(self.err(ParseErrorKind::UnexpectedEof));
+            };
+            match b {
+                b'<' => match self.bytes.get(self.pos + 1) {
+                    Some(b'/') => return self.close_tag().map(Some),
+                    Some(b'!') if self.starts_with(b"<!--") => {
+                        self.pos += 4;
+                        self.skip_until(b"-->")?;
                     }
+                    Some(b'!') if self.starts_with(b"<![CDATA[") => {
+                        return self.cdata().map(Some);
+                    }
+                    Some(b'?') => {
+                        self.pos += 2;
+                        self.skip_until(b"?>")?;
+                    }
+                    // Any other `<!` fails in the open tag as a bad name.
+                    _ => return self.open_tag().map(Some),
+                },
+                b'&' => {
+                    let text = self.entity()?;
+                    return Ok(Some(StreamEvent::Text(text)));
                 }
-                Some(b'&') => {
-                    let c = self.entity()?;
-                    return Ok(Some(StreamEvent::Text(Cow::Owned(c.to_string()))));
-                }
-                Some(_) => {
+                _ => {
                     let start = self.pos;
-                    self.pos += self.run_len(|c| c != b'<' && c != b'&');
-                    return Ok(Some(StreamEvent::Text(String::from_utf8_lossy(
-                        &self.bytes[start..self.pos],
-                    ))));
+                    self.pos += text_run(&self.bytes[start..]);
+                    return Ok(Some(StreamEvent::Text(self.slice(start, self.pos))));
                 }
+            }
+        }
+    }
+
+    /// A CDATA section at the cursor, as one text event.
+    fn cdata(&mut self) -> Result<StreamEvent<'a>, ParseError> {
+        self.pos += b"<![CDATA[".len();
+        let start = self.pos;
+        match find_sub(&self.bytes[start..], b"]]>") {
+            Some(i) => {
+                self.pos = start + i + 3;
+                Ok(StreamEvent::Text(self.slice(start, start + i)))
+            }
+            None => {
+                self.pos = self.bytes.len();
+                Err(self.err(ParseErrorKind::UnexpectedEof))
             }
         }
     }
@@ -404,43 +511,43 @@ impl<'a> StreamParser<'a> {
                 self.state = State::Done;
                 return Ok(None);
             }
-            if self.starts_with("<!--") {
-                self.bump(4);
-                self.skip_until("-->")?;
-            } else if self.starts_with("<?") {
-                self.bump(2);
-                self.skip_until("?>")?;
+            if self.starts_with(b"<!--") {
+                self.pos += 4;
+                self.skip_until(b"-->")?;
+            } else if self.starts_with(b"<?") {
+                self.pos += 2;
+                self.skip_until(b"?>")?;
             } else {
                 return Err(self.err(ParseErrorKind::TrailingContent));
             }
         }
     }
 
-    fn entity(&mut self) -> Result<char, ParseError> {
+    /// Decodes the entity reference at the cursor.
+    fn entity(&mut self) -> Result<Cow<'a, str>, ParseError> {
         debug_assert_eq!(self.peek(), Some(b'&'));
         self.pos += 1;
         let start = self.pos;
-        self.pos += self.token_len(|c| c.is_ascii_alphanumeric() || c == b'#')?;
-        // The name bytes are ASCII, so the lossy decode borrows.
+        self.pos += self.token_len(ENTITY)?;
+        // The name bytes are ASCII.
         let name = String::from_utf8_lossy(&self.bytes[start..self.pos]);
         self.expect(b';')?;
         let bad = |name: &str| self.err(ParseErrorKind::BadEntity(name.to_owned()));
-        match name.as_ref() {
-            "lt" => Ok('<'),
-            "gt" => Ok('>'),
-            "amp" => Ok('&'),
-            "apos" => Ok('\''),
-            "quot" => Ok('"'),
-            n if n.starts_with("#x") || n.starts_with("#X") => u32::from_str_radix(&n[2..], 16)
-                .ok()
-                .and_then(char::from_u32)
-                .ok_or_else(|| bad(n)),
-            n if n.starts_with('#') => n[1..]
-                .parse::<u32>()
-                .ok()
-                .and_then(char::from_u32)
-                .ok_or_else(|| bad(n)),
-            n => Err(bad(n)),
+        let code = match name.as_ref() {
+            "lt" => return Ok(Cow::Borrowed("<")),
+            "gt" => return Ok(Cow::Borrowed(">")),
+            "amp" => return Ok(Cow::Borrowed("&")),
+            "apos" => return Ok(Cow::Borrowed("'")),
+            "quot" => return Ok(Cow::Borrowed("\"")),
+            n if n.starts_with("#x") || n.starts_with("#X") => {
+                u32::from_str_radix(&n[2..], 16).ok()
+            }
+            n if n.starts_with('#') => n[1..].parse::<u32>().ok(),
+            _ => None,
+        };
+        match code.and_then(char::from_u32) {
+            Some(c) => Ok(Cow::Owned(c.to_string())),
+            None => Err(bad(&name)),
         }
     }
 }

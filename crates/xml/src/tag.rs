@@ -41,14 +41,63 @@ impl fmt::Debug for TagId {
     }
 }
 
+/// Slots of [`TagInterner`]'s front cache (a power of two).
+const FRONT_SLOTS: usize = 256;
+/// Marks an empty front-cache slot: no tag has this index.
+const FRONT_EMPTY: u32 = u32::MAX;
+
+/// The front-cache slot of `name`: an unkeyed multiply-rotate hash over
+/// the name's bytes, eight at a time, top bits. A document can choose
+/// names that share a slot; that only costs it the cache (see
+/// [`TagInterner`]).
+#[inline]
+fn front_slot(name: &[u8]) -> usize {
+    const K: u64 = 0x517c_c1b7_2722_0a95;
+    let mix = |h: u64, word: u64| (h.rotate_left(5) ^ word).wrapping_mul(K);
+    let mut chunks = name.chunks_exact(8);
+    let mut h = name.len() as u64;
+    for chunk in &mut chunks {
+        h = mix(
+            h,
+            u64::from_le_bytes(chunk.try_into().expect("8-byte chunk")),
+        );
+    }
+    let mut tail = [0u8; 8];
+    tail[..chunks.remainder().len()].copy_from_slice(chunks.remainder());
+    h = mix(h, u64::from_le_bytes(tail));
+    (h >> (64 - FRONT_SLOTS.trailing_zeros())) as usize
+}
+
 /// Bidirectional map between tag names and [`TagId`]s.
 ///
 /// The interner is append-only: tags are never removed, so any `TagId` it
 /// hands out stays valid for its lifetime.
-#[derive(Default, Clone)]
+///
+/// Lookups go through a small direct-mapped front cache first: the slot
+/// of a name's bytes holds the id last resolved there, and a hit is
+/// returned only after the full name bytes compare equal to that id's
+/// name. Real documents repeat a few dozen names, so nearly every lookup
+/// is one cheap hash and one compare. The keyed-SipHash map stays the
+/// authority: tag names are chosen by the document, and a document that
+/// makes its names collide in the cache only sends its lookups to the
+/// map, never to a wrong id.
+#[derive(Clone)]
 pub struct TagInterner {
     names: Vec<Box<str>>,
     ids: HashMap<Box<str>, TagId>,
+    /// Slot → index of the tag last resolved through it, or
+    /// [`FRONT_EMPTY`].
+    front: Box<[u32; FRONT_SLOTS]>,
+}
+
+impl Default for TagInterner {
+    fn default() -> Self {
+        TagInterner {
+            names: Vec::new(),
+            ids: HashMap::new(),
+            front: Box::new([FRONT_EMPTY; FRONT_SLOTS]),
+        }
+    }
 }
 
 impl TagInterner {
@@ -57,20 +106,39 @@ impl TagInterner {
         Self::default()
     }
 
+    /// The id cached in `slot`, if it names `name` exactly.
+    #[inline]
+    fn cached(&self, slot: usize, name: &str) -> Option<TagId> {
+        let index = self.front[slot];
+        let known = self.names.get(index as usize)?;
+        (known.as_bytes() == name.as_bytes()).then_some(TagId(index))
+    }
+
     /// Interns `name`, returning its id (existing or freshly assigned).
+    #[inline]
     pub fn intern(&mut self, name: &str) -> TagId {
-        if let Some(&id) = self.ids.get(name) {
+        let slot = front_slot(name.as_bytes());
+        if let Some(id) = self.cached(slot, name) {
             return id;
         }
-        let id = TagId(u32::try_from(self.names.len()).expect("too many distinct tags"));
-        self.names.push(name.into());
-        self.ids.insert(name.into(), id);
+        let id = match self.ids.get(name) {
+            Some(&id) => id,
+            None => {
+                let id = TagId(u32::try_from(self.names.len()).expect("too many distinct tags"));
+                self.names.push(name.into());
+                self.ids.insert(name.into(), id);
+                id
+            }
+        };
+        self.front[slot] = id.0;
         id
     }
 
     /// Looks up the id of `name` without interning it.
+    #[inline]
     pub fn get(&self, name: &str) -> Option<TagId> {
-        self.ids.get(name).copied()
+        self.cached(front_slot(name.as_bytes()), name)
+            .or_else(|| self.ids.get(name).copied())
     }
 
     /// Returns the name for `id`.
@@ -170,6 +238,49 @@ mod tests {
         t.intern("y");
         let collected: Vec<_> = t.iter().map(|(id, n)| (id.index(), n.to_owned())).collect();
         assert_eq!(collected, vec![(0, "x".to_owned()), (1, "y".to_owned())]);
+    }
+
+    #[test]
+    fn front_cache_answers_only_exact_names() {
+        // Far more names than cache slots: slots are shared and
+        // overwritten, and every lookup must still return the map's id.
+        let mut t = TagInterner::new();
+        let names: Vec<String> = (0..4 * FRONT_SLOTS).map(|i| format!("tag{i}")).collect();
+        let ids: Vec<TagId> = names.iter().map(|n| t.intern(n)).collect();
+        for round in 0..2 {
+            for (name, &id) in names.iter().zip(&ids).rev() {
+                assert_eq!(t.intern(name), id, "round {round}: {name}");
+                assert_eq!(t.get(name), Some(id));
+            }
+        }
+        // Prefixes, extensions and one-byte changes of cached names miss.
+        let first = t.intern("tag1");
+        assert_eq!(t.get("tag"), None);
+        assert_eq!(t.get("tag1x"), None);
+        assert_eq!(t.get("tah1"), None);
+        assert_eq!(t.get("tag1"), Some(first));
+        assert_eq!(t.len(), names.len());
+    }
+
+    #[test]
+    fn names_sharing_a_slot_keep_their_ids() {
+        // Find two names with one slot, then alternate them.
+        let base = "a".to_owned();
+        let slot = front_slot(base.as_bytes());
+        let twin = (0..)
+            .map(|i| format!("b{i}"))
+            .find(|n| front_slot(n.as_bytes()) == slot)
+            .expect("a colliding name exists");
+        let mut t = TagInterner::new();
+        let a = t.intern(&base);
+        let b = t.intern(&twin);
+        assert_ne!(a, b);
+        for _ in 0..3 {
+            assert_eq!(t.intern(&base), a);
+            assert_eq!(t.get(&twin), Some(b));
+            assert_eq!(t.intern(&twin), b);
+            assert_eq!(t.get(&base), Some(a));
+        }
     }
 
     #[test]

@@ -213,9 +213,12 @@ impl Document {
 ///
 /// Drive it with `begin_element` / `text` / `end_element` in document order;
 /// the parser and every dataset generator are built on top of it. Nodes are
-/// appended as `(tag, parent)` pairs and character data to one text arena,
-/// recorded as `(node, start)` pieces; [`finish`](Self::finish) derives the
-/// child lists and regroups the text per node, each in one linear pass.
+/// appended as `(tag, parent)` pairs and character data to one text arena.
+/// Each node's text starts where the arena stood when the node opened, so
+/// a document whose elements finish their text before their first child
+/// opens needs no per-text bookkeeping at all; text that resumes after a
+/// child (mixed content) is recorded as a late piece, and
+/// [`finish`](Self::finish) regroups the arena per node only then.
 ///
 /// # Example
 ///
@@ -238,11 +241,15 @@ pub struct TreeBuilder {
     stack: Vec<NodeId>,
     /// Character data in arrival order.
     text: String,
-    /// `(node, start)`: `text[start..]` up to the next piece's start (or
-    /// the end) belongs to `node`. Consecutive text for one node extends
-    /// its last piece, so a node has several pieces only when its text
-    /// resumes after text inside one of its children.
-    pieces: Vec<(NodeId, usize)>,
+    /// `text_start[i]`: the arena's length when node `i` opened, where
+    /// node `i`'s own text region begins.
+    text_start: Vec<usize>,
+    /// The node the arena's tail belongs to: the newest node, or the node
+    /// of the newest late piece.
+    tail_owner: Option<NodeId>,
+    /// `(node, start)` of text that arrived for `node` after another node
+    /// opened; it runs to the next region or piece start (or the end).
+    late: Vec<(NodeId, usize)>,
     root_closed: bool,
 }
 
@@ -258,6 +265,7 @@ impl TreeBuilder {
     /// Starting a second root after the first was closed is detected at
     /// [`finish`](Self::finish) time via [`TreeError::MultipleRoots`]; we
     /// record the violation here so event producers need not track it.
+    #[inline]
     pub fn begin_element(&mut self, tag: &str) -> NodeId {
         let tag = self.tags.intern(tag);
         self.begin_element_id(tag)
@@ -265,6 +273,7 @@ impl TreeBuilder {
 
     /// Like [`begin_element`](Self::begin_element) but with an already
     /// interned tag (the interner is exposed via [`tags_mut`](Self::tags_mut)).
+    #[inline]
     pub fn begin_element_id(&mut self, tag: TagId) -> NodeId {
         let id = NodeId::from_index(self.nodes.len());
         let parent = self.stack.last().copied();
@@ -272,12 +281,15 @@ impl TreeBuilder {
             self.root_closed = true; // will surface as MultipleRoots
         }
         self.nodes.push(Node { tag, parent });
+        self.text_start.push(self.text.len());
+        self.tail_owner = Some(id);
         self.stack.push(id);
         id
     }
 
     /// Appends character data to the currently open element. Text outside
     /// any element is ignored (whitespace between a prolog and the root).
+    #[inline]
     pub fn text(&mut self, data: &str) {
         let Some(&cur) = self.stack.last() else {
             return;
@@ -285,13 +297,15 @@ impl TreeBuilder {
         if data.is_empty() {
             return;
         }
-        if self.pieces.last().map(|&(node, _)| node) != Some(cur) {
-            self.pieces.push((cur, self.text.len()));
+        if self.tail_owner != Some(cur) {
+            self.late.push((cur, self.text.len()));
+            self.tail_owner = Some(cur);
         }
         self.text.push_str(data);
     }
 
     /// Closes the most recently opened element.
+    #[inline]
     pub fn end_element(&mut self) -> Result<(), TreeError> {
         self.stack.pop().map(|_| ()).ok_or(TreeError::UnbalancedEnd)
     }
@@ -303,7 +317,7 @@ impl TreeBuilder {
     }
 
     /// Finalises the builder into a [`Document`].
-    pub fn finish(self) -> Result<Document, TreeError> {
+    pub fn finish(mut self) -> Result<Document, TreeError> {
         if !self.stack.is_empty() {
             return Err(TreeError::UnclosedElements(self.stack.len()));
         }
@@ -314,7 +328,12 @@ impl TreeBuilder {
             return Err(TreeError::EmptyDocument);
         }
         let (child_start, child_ids) = child_lists(&self.nodes);
-        let (text, text_start) = group_text(self.nodes.len(), self.text, &self.pieces);
+        self.text_start.push(self.text.len());
+        let (text, text_start) = if self.late.is_empty() {
+            (self.text, self.text_start)
+        } else {
+            group_text(self.text, &self.text_start, &self.late)
+        };
         Ok(Document {
             nodes: self.nodes,
             child_start,
@@ -355,35 +374,44 @@ fn child_lists(nodes: &[Node]) -> (Vec<u32>, Vec<NodeId>) {
     (start, ids)
 }
 
-/// Regroups the text arena so each node's character data is contiguous
-/// and nodes follow in id order, returning the text and its `n + 1`
-/// per-node offsets. When the pieces already are in that order (every node
-/// has at most one piece, and pieces follow node ids, as in any document
-/// where no element's text resumes after text inside one of its children)
-/// the arena is kept as it is; otherwise the bytes are copied once into
-/// their node's slot.
-fn group_text(n: usize, text: String, pieces: &[(NodeId, usize)]) -> (String, Vec<usize>) {
-    let piece_end = |k: usize| pieces.get(k + 1).map_or(text.len(), |&(_, s)| s);
+/// Regroups a text arena holding late pieces so each node's character
+/// data is contiguous and nodes follow in id order, returning the text
+/// and its `n + 1` per-node offsets. The arena is a sequence of runs in
+/// arrival order: node `i`'s region from `regions[i]` (`regions` has
+/// `n + 1` entries, the last being the arena's length) and each late
+/// piece, every run ending where the next one starts. A late piece
+/// never starts at the same offset as a later node's region (a piece is
+/// non-empty), so at equal offsets the region comes first.
+fn group_text(text: String, regions: &[usize], late: &[(NodeId, usize)]) -> (String, Vec<usize>) {
+    let n = regions.len() - 1;
+    let mut runs: Vec<(NodeId, usize)> = Vec::with_capacity(n + late.len());
+    let mut late_iter = late.iter().peekable();
+    for (i, &start) in regions[..n].iter().enumerate() {
+        while let Some(&&piece) = late_iter.peek().filter(|&&&(_, s)| s < start) {
+            runs.push(piece);
+            late_iter.next();
+        }
+        runs.push((NodeId(i as u32), start));
+    }
+    runs.extend(late_iter);
+    let run_end = |k: usize| runs.get(k + 1).map_or(text.len(), |&(_, s)| s);
     // `start[i + 1]` accumulates node `i`'s byte count.
     let mut start = vec![0usize; n + 1];
-    for (k, &(node, s)) in pieces.iter().enumerate() {
-        start[node.index() + 1] += piece_end(k) - s;
+    for (k, &(node, s)) in runs.iter().enumerate() {
+        start[node.index() + 1] += run_end(k) - s;
     }
     for i in 1..=n {
         start[i] += start[i - 1];
     }
-    if pieces.windows(2).all(|w| w[0].0 < w[1].0) {
-        return (text, start);
-    }
     let mut bytes = vec![0u8; text.len()];
     let mut fill = start.clone();
-    for (k, &(node, s)) in pieces.iter().enumerate() {
-        let piece = &text.as_bytes()[s..piece_end(k)];
+    for (k, &(node, s)) in runs.iter().enumerate() {
+        let run = &text.as_bytes()[s..run_end(k)];
         let at = &mut fill[node.index()];
-        bytes[*at..*at + piece.len()].copy_from_slice(piece);
-        *at += piece.len();
+        bytes[*at..*at + run.len()].copy_from_slice(run);
+        *at += run.len();
     }
-    let text = String::from_utf8(bytes).expect("every piece is a whole UTF-8 string");
+    let text = String::from_utf8(bytes).expect("every run is a whole UTF-8 string");
     (text, start)
 }
 
@@ -537,6 +565,17 @@ mod tests {
         assert_eq!(doc.text(c), "w");
         assert_eq!(doc.children(b), &[][..]);
         assert_eq!(doc.node(c).parent, Some(a));
+    }
+
+    #[test]
+    fn late_text_runs_split_by_entities_and_empty_children_regroup() {
+        let doc = crate::parse("<a>x<b>y<d/>&lt;</b>z&amp;w<c/>v<e>u</e></a>").unwrap();
+        let text: Vec<&str> = doc.node_ids().map(|id| doc.text(id)).collect();
+        assert_eq!(text, ["xz&wv", "y<", "", "", "u"]);
+        // Text that only arrives after an empty first child.
+        let doc = crate::parse("<a><b/>late</a>").unwrap();
+        assert_eq!(doc.text(doc.root()), "late");
+        assert_eq!(doc.text(doc.children(doc.root())[0]), "");
     }
 
     #[test]

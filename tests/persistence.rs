@@ -136,3 +136,82 @@ fn pinned_summaries_are_byte_stable() {
         );
     }
 }
+
+/// Images whose sections each decode but disagree with one another — a
+/// histogram set with the wrong number of tags, a bucket or column naming
+/// a pid that was never interned, an encoding path naming an unknown tag
+/// — are refused with a typed error by both the owned decode and the
+/// zero-copy view. Before the cross-check, the first of them loaded and
+/// then panicked at the first estimate.
+#[test]
+fn images_with_dangling_references_are_refused() {
+    use xpe::synopsis::{
+        LoadError, OHistogramSet, PBucket, PHistogram, PHistogramSet, SummaryView,
+    };
+    use xpe::xml::wire::WireError;
+
+    let doc = xpe::xml::fixtures::paper_figure1();
+    let good = Syn::build(&doc, SummaryConfig::default());
+    let variance = good.phist.variance();
+    let mut crafted: Vec<(&str, Syn)> = Vec::new();
+
+    let mut s = good.clone();
+    s.phist = PHistogramSet::from_parts(vec![], variance);
+    crafted.push(("no p-histograms", s));
+
+    let mut s = good.clone();
+    s.ohist = OHistogramSet::build(
+        &xpe::synopsis::PathOrderTable::from_rows(vec![]),
+        &good.phist,
+        &xpe::xml::TagInterner::new(),
+        0.0,
+    );
+    crafted.push(("no o-histograms", s));
+
+    let mut s = good.clone();
+    let mut per_tag: Vec<PHistogram> = (0..good.tags.len())
+        .map(|t| good.phist.histogram(xpe::xml::TagId::from_index(t)).clone())
+        .collect();
+    per_tag[0] = PHistogram::from_buckets(vec![PBucket {
+        pids: vec![xpe::pathid::Pid::from_index(good.pids.len())],
+        avg: 1.0,
+    }]);
+    s.phist = PHistogramSet::from_parts(per_tag, variance);
+    crafted.push(("unknown pid in a p-histogram bucket", s));
+
+    let mut s = good.clone();
+    let mut encoding = xpe::pathid::EncodingTable::new();
+    for (_, path) in good.encoding.iter() {
+        let mut path = path.to_vec();
+        *path.last_mut().unwrap() = xpe::xml::TagId::from_index(good.tags.len());
+        encoding.intern(&path);
+    }
+    s.encoding = encoding;
+    crafted.push(("unknown tag in an encoding path", s));
+
+    for (what, summary) in crafted {
+        let bytes = summary.to_bytes();
+        assert!(
+            matches!(
+                Syn::from_bytes(&bytes),
+                Err(LoadError::Wire(WireError::BadHeader(_)))
+            ),
+            "{what}: owned decode accepted it"
+        );
+        assert!(
+            matches!(
+                SummaryView::parse(&bytes),
+                Err(LoadError::Wire(WireError::BadHeader(_)))
+            ),
+            "{what}: view accepted it"
+        );
+    }
+    // And the image they were made from still loads and answers.
+    let bytes = good.to_bytes();
+    let loaded = Syn::from_bytes(&bytes).expect("valid image");
+    SummaryView::parse(&bytes).expect("valid image");
+    assert_eq!(
+        Estimator::new(&loaded).estimate_str("//A/B").unwrap(),
+        Estimator::new(&good).estimate_str("//A/B").unwrap()
+    );
+}

@@ -37,6 +37,13 @@ const REPS: usize = 5;
 /// streaming labeler's widest sibling set). Streaming tokenizes twice and
 /// keeps sibling state per open element instead of reading a finished
 /// tree, so it is slower; this bounds by how much.
+///
+/// At `XPE_SCALE=0.02` on a shared 2-core x86-64 box, ten runs measured
+/// 1.32–1.54. When the streaming passes still hashed the whole
+/// root-to-leaf path at every leaf, the same measurement gave 2.24–2.89.
+/// The ceiling sits between the two: above it is a regression of that
+/// size, below it is noise. A ratio above the ceiling is timed once more
+/// before it fails, so one slow spell of the machine does not.
 const MAX_STREAM_TO_DOM: f64 = 1.75;
 
 /// Live heap bytes right now, maintained by [`CountingAlloc`].
@@ -176,13 +183,27 @@ fn main() {
             opens
         });
 
-        let (dom_build_secs, stream_build_secs) = best_secs_paired(
-            || {
-                let doc = parse_document(&xml).expect("dataset XML is well-formed");
-                Summary::build(&doc, config)
-            },
-            || Summary::build_streaming(&xml, config).expect("dataset XML parses"),
-        );
+        let time_builds = || {
+            best_secs_paired(
+                || {
+                    let doc = parse_document(&xml).expect("dataset XML is well-formed");
+                    Summary::build(&doc, config)
+                },
+                || Summary::build_streaming(&xml, config).expect("dataset XML parses"),
+            )
+        };
+        let (mut dom_build_secs, mut stream_build_secs) = time_builds();
+        if ds == Dataset::Dblp && stream_build_secs / dom_build_secs > MAX_STREAM_TO_DOM {
+            println!(
+                "  {}: streaming/DOM {:.2} is above {MAX_STREAM_TO_DOM}; timing again",
+                ds.name(),
+                stream_build_secs / dom_build_secs
+            );
+            let (dom, stream) = time_builds();
+            if stream / dom < stream_build_secs / dom_build_secs {
+                (dom_build_secs, stream_build_secs) = (dom, stream);
+            }
+        }
 
         // Peak-heap proxy: one untimed run of each phase. The persisted
         // bytes double as the identity check.

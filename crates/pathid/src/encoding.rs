@@ -122,17 +122,21 @@ impl EncodingTable {
     }
 
     /// Deserializes a table encoded by [`encode`](Self::encode); encodings
-    /// are preserved.
+    /// are preserved, and a path stored twice is refused.
     pub fn decode(r: &mut xpe_xml::wire::Reader<'_>) -> Result<Self, xpe_xml::wire::WireError> {
         let n = r.u32()? as usize;
         let mut t = EncodingTable::new();
-        for _ in 0..n {
+        for i in 0..n {
             let len = r.u32()? as usize;
             let mut path = Vec::with_capacity(xpe_xml::wire::cap_alloc(len));
             for _ in 0..len {
                 path.push(TagId::from_index(r.u32()? as usize));
             }
-            t.intern(&path);
+            if t.intern(&path) as usize != i + 1 {
+                return Err(xpe_xml::wire::WireError::BadHeader(
+                    "duplicate encoding path",
+                ));
+            }
         }
         Ok(t)
     }

@@ -151,7 +151,7 @@ impl PidInterner {
     }
 
     /// Deserializes an interner encoded by [`encode`](Self::encode); pid
-    /// handles are preserved.
+    /// handles are preserved, and a bit set stored twice is refused.
     pub fn decode(r: &mut xpe_xml::wire::Reader<'_>) -> Result<Self, xpe_xml::wire::WireError> {
         Self::decode_inner(r, None)
     }
@@ -182,7 +182,7 @@ impl PidInterner {
         }
         let n = r.u32()? as usize;
         let mut interner = PidInterner::new(width);
-        for _ in 0..n {
+        for i in 0..n {
             let ones = r.u32()? as usize;
             let mut bits = PathIdBits::zero(width);
             for _ in 0..ones {
@@ -194,7 +194,9 @@ impl PidInterner {
                 }
                 bits.set(pos);
             }
-            interner.intern(bits);
+            if interner.intern(bits).index() != i {
+                return Err(xpe_xml::wire::WireError::BadHeader("duplicate pid"));
+            }
         }
         Ok(interner)
     }

@@ -117,20 +117,10 @@ pub trait StreamSink {
     /// `pre_index`-th element (0-based) to open.
     fn element(&mut self, tag: TagId, pid: Pid, pre_index: u64);
 
-    /// One `x`-tagged element with id `pid` has some `y`-tagged sibling
-    /// before it (the paper's `element+` region, "x after y").
-    fn sibling_after(&mut self, x: TagId, pid: Pid, y: TagId);
-
     /// `count` children of tag/pid `(x, pid)` of the closing parent have
-    /// some `y`-tagged sibling before them: the labeler reports the
-    /// `element+` region aggregated per parent through this method. The
-    /// default repeats [`sibling_after`](Self::sibling_after); sinks that
-    /// add counts override it.
-    fn siblings_after(&mut self, x: TagId, pid: Pid, y: TagId, count: u64) {
-        for _ in 0..count {
-            self.sibling_after(x, pid, y);
-        }
-    }
+    /// some `y`-tagged sibling before them (the paper's `element+` region,
+    /// "x after y"), aggregated per parent.
+    fn sibling_after(&mut self, x: TagId, pid: Pid, y: TagId, count: u64);
 
     /// `count` children of tag/pid `(x, pid)` of the closing parent have
     /// some `y`-tagged sibling after them (the `+element` region, "x
@@ -274,7 +264,7 @@ impl Siblings {
                 };
                 let after = group.count - at_first;
                 if after > 0 {
-                    sink.siblings_after(group.tag, group.pid, child_tag.tag, after);
+                    sink.sibling_after(group.tag, group.pid, child_tag.tag, after);
                 }
                 let before = if child_tag.last > group.last {
                     group.count
@@ -500,10 +490,7 @@ mod tests {
         fn element(&mut self, tag: TagId, pid: Pid, pre_index: u64) {
             self.elements.push((tag, pid, pre_index));
         }
-        fn sibling_after(&mut self, x: TagId, pid: Pid, y: TagId) {
-            self.after.push((x, pid, y, 1));
-        }
-        fn siblings_after(&mut self, x: TagId, pid: Pid, y: TagId, count: u64) {
+        fn sibling_after(&mut self, x: TagId, pid: Pid, y: TagId, count: u64) {
             self.after.push((x, pid, y, count));
         }
         fn sibling_before(&mut self, x: TagId, pid: Pid, y: TagId, count: u64) {

@@ -40,19 +40,52 @@ const DENSE_CELLS: usize = 1 << 14;
 /// when the next row would pass [`DENSE_CELLS`], the rows are added into
 /// the sparse per-tag rows and the buffer starts over. Memory stays
 /// within the buffer plus the nonzero cells.
+///
+/// The buffer is all zeros except the cells listed in `dirty`, so a new
+/// row costs nothing to clear and a fold visits only nonzero cells. A
+/// parent whose children cycle through more groups than the buffer
+/// holds folds at nearly every child, and each fold then costs what its
+/// cells' updates cost, never a scan of `tag_count` cells.
 #[derive(Debug)]
 pub(crate) struct OrderCells {
     tag_count: usize,
     slot_of: HandleMap<(TagId, Pid), u32>,
     /// The group of each slot.
     groups: Vec<(TagId, Pid)>,
-    /// `tag_count` cells per slot.
+    /// `tag_count` cells per slot, zero outside `dirty`. Keeps its
+    /// largest length across folds.
     cells: Vec<OrderCell>,
+    /// The index in `cells` of each nonzero cell.
+    dirty: Vec<u32>,
     /// The group and slot of the previous [`row`](Self::row) call:
     /// updates arrive in runs per group.
     recent: Option<((TagId, Pid), u32)>,
     /// The nonzero cells folded out of the buffer so far, per tag.
     rows: Vec<OrderRow>,
+    /// Cells zeroed by growing the buffer or visited by a fold.
+    #[cfg(test)]
+    visited: usize,
+}
+
+/// The cells of one group, indexed by sibling tag.
+pub(crate) struct RowCells<'a> {
+    cells: &'a mut [OrderCell],
+    /// The index in the buffer of `cells[0]`.
+    base: u32,
+    dirty: &'a mut Vec<u32>,
+}
+
+impl RowCells<'_> {
+    /// Adds `before` and `after` to the cell of sibling tag `y`.
+    #[inline]
+    pub(crate) fn add(&mut self, y: usize, before: u64, after: u64) {
+        let cell = &mut self.cells[y];
+        if (cell.before | cell.after) == 0 && (before | after) != 0 {
+            self.dirty.push(self.base + y as u32);
+        }
+        cell.before += before;
+        cell.after += after;
+    }
 }
 
 impl OrderCells {
@@ -62,15 +95,17 @@ impl OrderCells {
             slot_of: HandleMap::default(),
             groups: Vec::new(),
             cells: Vec::new(),
+            dirty: Vec::new(),
             recent: None,
             rows: vec![OrderRow::default(); tag_count],
+            #[cfg(test)]
+            visited: 0,
         }
     }
 
-    /// The cells of the group `(x, pid)`, indexed by sibling tag; zeroed
-    /// on first sight.
+    /// The cells of the group `(x, pid)`.
     #[inline]
-    pub(crate) fn row(&mut self, x: TagId, pid: Pid) -> &mut [OrderCell] {
+    pub(crate) fn row(&mut self, x: TagId, pid: Pid) -> RowCells<'_> {
         let group = (x, pid);
         let slot = match self.recent {
             Some((g, slot)) if g == group => slot,
@@ -78,40 +113,53 @@ impl OrderCells {
                 let next = self.groups.len() as u32;
                 let mut slot = *self.slot_of.entry(group).or_insert(next);
                 if slot == next {
-                    if !self.cells.is_empty() && self.cells.len() + self.tag_count > DENSE_CELLS {
+                    if next > 0 && (next as usize + 1) * self.tag_count > DENSE_CELLS {
                         self.fold();
                         self.slot_of.insert(group, 0);
                         slot = 0;
                     }
                     self.groups.push(group);
-                    self.cells
-                        .resize(self.cells.len() + self.tag_count, OrderCell::default());
+                    let end = (slot as usize + 1) * self.tag_count;
+                    if self.cells.len() < end {
+                        #[cfg(test)]
+                        {
+                            self.visited += end - self.cells.len();
+                        }
+                        self.cells.resize(end, OrderCell::default());
+                    }
                 }
                 self.recent = Some((group, slot));
                 slot
             }
         };
-        &mut self.cells[slot as usize * self.tag_count..][..self.tag_count]
+        let base = slot as usize * self.tag_count;
+        RowCells {
+            cells: &mut self.cells[base..][..self.tag_count],
+            base: base as u32,
+            dirty: &mut self.dirty,
+        }
     }
 
-    /// Adds the buffered rows' nonzero cells into the sparse rows and
-    /// empties the buffer.
+    /// Adds the buffer's nonzero cells into the sparse rows and empties
+    /// the buffer.
     fn fold(&mut self) {
-        let width = self.tag_count.max(1);
-        for (&(x, pid), cells) in self.groups.iter().zip(self.cells.chunks_exact(width)) {
-            for (y, &cell) in cells.iter().enumerate() {
-                if cell.before > 0 || cell.after > 0 {
-                    let sum = self.rows[x.index()]
-                        .entry((pid, TagId::from_index(y)))
-                        .or_default();
-                    sum.before += cell.before;
-                    sum.after += cell.after;
-                }
-            }
+        #[cfg(test)]
+        {
+            self.visited += self.dirty.len();
         }
+        for &i in &self.dirty {
+            let i = i as usize;
+            let (x, pid) = self.groups[i / self.tag_count];
+            let cell = std::mem::take(&mut self.cells[i]);
+            let sum = self.rows[x.index()]
+                .entry((pid, TagId::from_index(i % self.tag_count)))
+                .or_default();
+            sum.before += cell.before;
+            sum.after += cell.after;
+        }
+        self.dirty.clear();
         self.slot_of.clear();
         self.groups.clear();
-        self.cells.clear();
         self.recent = None;
     }
 
@@ -134,42 +182,8 @@ impl PathOrderTable {
     /// each child finds its `(tag, pid)` group's dense row of cells with
     /// one map probe and adds to it once per sibling tag of its parent.
     pub fn build(doc: &Document, labeling: &Labeling) -> Self {
-        let tag_count = doc.tags().len();
-        // Scratch: first/last sibling position per tag, reset per parent.
-        let mut first = vec![usize::MAX; tag_count];
-        let mut last = vec![usize::MAX; tag_count];
-        let mut touched: Vec<usize> = Vec::new();
-        let mut cells = OrderCells::new(tag_count);
-
-        for parent in doc.node_ids() {
-            let children = doc.children(parent);
-            if children.len() < 2 {
-                continue;
-            }
-            for (k, &c) in children.iter().enumerate() {
-                let t = doc.tag(c).index();
-                if first[t] == usize::MAX {
-                    first[t] = k;
-                    touched.push(t);
-                }
-                last[t] = k;
-            }
-            for (k, &c) in children.iter().enumerate() {
-                let row = cells.row(doc.tag(c), labeling.pid(c));
-                for &y in &touched {
-                    // `c` occurs before / after some Y sibling?
-                    row[y].before += u64::from(last[y] > k);
-                    row[y].after += u64::from(first[y] < k);
-                }
-            }
-            for &t in &touched {
-                first[t] = usize::MAX;
-                last[t] = usize::MAX;
-            }
-            touched.clear();
-        }
         PathOrderTable {
-            rows: cells.into_rows(),
+            rows: collect(doc, labeling).into_rows(),
         }
     }
 
@@ -224,6 +238,45 @@ impl PathOrderTable {
             .map(|c| usize::from(c.before > 0) + usize::from(c.after > 0))
             .sum()
     }
+}
+
+/// The order cells of every child with siblings, for
+/// [`PathOrderTable::build`].
+fn collect(doc: &Document, labeling: &Labeling) -> OrderCells {
+    let tag_count = doc.tags().len();
+    // Scratch: first/last sibling position per tag, reset per parent.
+    let mut first = vec![usize::MAX; tag_count];
+    let mut last = vec![usize::MAX; tag_count];
+    let mut touched: Vec<usize> = Vec::new();
+    let mut cells = OrderCells::new(tag_count);
+
+    for parent in doc.node_ids() {
+        let children = doc.children(parent);
+        if children.len() < 2 {
+            continue;
+        }
+        for (k, &c) in children.iter().enumerate() {
+            let t = doc.tag(c).index();
+            if first[t] == usize::MAX {
+                first[t] = k;
+                touched.push(t);
+            }
+            last[t] = k;
+        }
+        for (k, &c) in children.iter().enumerate() {
+            let mut row = cells.row(doc.tag(c), labeling.pid(c));
+            for &y in &touched {
+                // `c` occurs before / after some Y sibling?
+                row.add(y, u64::from(last[y] > k), u64::from(first[y] < k));
+            }
+        }
+        for &t in &touched {
+            first[t] = usize::MAX;
+            last[t] = usize::MAX;
+        }
+        touched.clear();
+    }
+    cells
 }
 
 #[cfg(test)]
@@ -382,6 +435,101 @@ mod tests {
         );
         let table = PathOrderTable::build(&doc, &lab);
         assert_eq!(all_cells(&doc, &table), by_definition(&doc, &lab));
+    }
+
+    /// Per-sibling-tag updates the DOM build makes: children × distinct
+    /// sibling tags, over every parent with two or more children.
+    fn updates(doc: &Document) -> usize {
+        doc.node_ids()
+            .map(|p| doc.children(p))
+            .filter(|children| children.len() > 1)
+            .map(|children| {
+                let tags: std::collections::HashSet<TagId> =
+                    children.iter().map(|&c| doc.tag(c)).collect();
+                children.len() * tags.len()
+            })
+            .sum()
+    }
+
+    /// A parent whose children cycle through more groups than the buffer
+    /// holds folds at nearly every child. Each fold must cost what its
+    /// cells' updates cost, not a scan or clear of `tag_count` cells per
+    /// row, so the buffer's work stays within the updates plus one
+    /// buffer's worth of zeroing.
+    #[test]
+    fn wide_parent_cycling_past_the_buffer_stays_linear() {
+        let mut xml = String::from("<r>");
+        for i in 0..1000 {
+            xml.push_str(&format!("<v><t{i}/></v>"));
+        }
+        xml.push_str("<p>");
+        for _ in 0..8 {
+            for a in 0..24 {
+                xml.push_str(&format!("<a{a}/>"));
+            }
+        }
+        xml.push_str("</p></r>");
+        let doc = xpe_xml::parse_document(&xml).unwrap();
+        let lab = Labeling::compute(&doc);
+        let tags = doc.tags().len();
+        assert!(24 * tags > DENSE_CELLS, "{tags} tags");
+
+        let mut cells = collect(&doc, &lab);
+        cells.fold();
+        assert!(
+            cells.visited <= updates(&doc) + DENSE_CELLS,
+            "{} cells visited for {} updates",
+            cells.visited,
+            updates(&doc)
+        );
+        let table = PathOrderTable {
+            rows: cells.into_rows(),
+        };
+        assert_eq!(all_cells(&doc, &table), by_definition(&doc, &lab));
+    }
+
+    /// Rows wider than the buffer: two alternating groups fold at every
+    /// switch, and each fold visits only the cells that were added to.
+    #[test]
+    fn alternating_groups_wider_than_the_buffer() {
+        let tag_count = DENSE_CELLS + 100;
+        let (a, b) = (TagId::from_index(0), TagId::from_index(1));
+        let pid = Pid::from_index(0);
+        let rounds = 1000;
+        let mut cells = OrderCells::new(tag_count);
+        for _ in 0..rounds {
+            cells.row(a, pid).add(1, 1, 0);
+            cells.row(b, pid).add(0, 0, 1);
+            cells.row(b, pid).add(tag_count - 1, 1, 1);
+        }
+        cells.fold();
+        assert!(cells.visited <= 3 * rounds + tag_count, "{}", cells.visited);
+        let rows = cells.into_rows();
+        let n = rounds as u64;
+        assert_eq!(rows[0].len(), 1);
+        assert_eq!(
+            rows[0][&(pid, b)],
+            OrderCell {
+                before: n,
+                after: 0
+            }
+        );
+        assert_eq!(rows[1].len(), 2);
+        assert_eq!(
+            rows[1][&(pid, a)],
+            OrderCell {
+                before: 0,
+                after: n
+            }
+        );
+        let last = TagId::from_index(tag_count - 1);
+        assert_eq!(
+            rows[1][&(pid, last)],
+            OrderCell {
+                before: n,
+                after: n
+            }
+        );
     }
 
     #[test]

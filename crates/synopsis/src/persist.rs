@@ -149,8 +149,10 @@ pub(crate) fn validated_payload(bytes: &[u8]) -> Result<(u32, &[u8]), LoadError>
 /// buckets or o-histogram columns name a tag or pid that was never
 /// interned, would load and then panic at its first estimate. A CRC only
 /// proves the bytes are the ones written, not that a well-meaning writer
-/// wrote them. [`SummaryView::parse`](crate::SummaryView::parse) applies
-/// the same rules in place.
+/// wrote them. The interners have already refused repeated entries, so
+/// their lengths are the counts in the image, the counts
+/// [`SummaryView::parse`](crate::SummaryView::parse) checks the same
+/// rules against in place.
 fn check_cross_references(
     tags: &TagInterner,
     encoding: &EncodingTable,

@@ -57,16 +57,12 @@ impl StreamSink for StatsSink {
         entry.1 = entry.1.min(pre_index);
     }
 
-    fn sibling_after(&mut self, x: TagId, pid: Pid, y: TagId) {
-        self.siblings_after(x, pid, y, 1);
-    }
-
-    fn siblings_after(&mut self, x: TagId, pid: Pid, y: TagId, count: u64) {
-        self.order.row(x, pid)[y.index()].after += count;
+    fn sibling_after(&mut self, x: TagId, pid: Pid, y: TagId, count: u64) {
+        self.order.row(x, pid).add(y.index(), 0, count);
     }
 
     fn sibling_before(&mut self, x: TagId, pid: Pid, y: TagId, count: u64) {
-        self.order.row(x, pid)[y.index()].before += count;
+        self.order.row(x, pid).add(y.index(), count, 0);
     }
 }
 

@@ -94,7 +94,12 @@ impl<'a> SummaryView<'a> {
     /// view. Allocation-free; errors mirror [`Summary::from_bytes`] —
     /// the same magic/version/length/CRC checks run first, and a payload
     /// whose length prefixes disagree with its byte count is rejected
-    /// with the same `WireError` a full decode would produce.
+    /// with the same `WireError` a full decode would produce. The
+    /// sections are cross-checked as a full decode does (one histogram
+    /// per tag, no reference to a tag or pid beyond the image's counts);
+    /// uniqueness of tag names, encoding paths and pid bit sets is not,
+    /// as it needs a table, so an image that repeats one parses here and
+    /// fails in [`to_summary`](Self::to_summary).
     pub fn parse(bytes: &'a [u8]) -> Result<Self, LoadError> {
         let (version, payload) = validated_payload(bytes)?;
         let mut r = Reader::new(payload);

@@ -178,13 +178,17 @@ impl TagInterner {
     }
 
     /// Deserializes an interner encoded by [`encode`](Self::encode). Ids
-    /// are preserved (insertion order is stored).
+    /// are preserved (insertion order is stored); a name stored twice is
+    /// refused, since it would shift every later id off the index the
+    /// image gives it.
     pub fn decode(r: &mut crate::wire::Reader<'_>) -> Result<Self, crate::wire::WireError> {
         let n = r.u32()? as usize;
         let mut t = TagInterner::new();
-        for _ in 0..n {
+        for i in 0..n {
             let name = r.str()?;
-            t.intern(&name);
+            if t.intern(&name).index() != i {
+                return Err(crate::wire::WireError::BadHeader("duplicate tag name"));
+            }
         }
         Ok(t)
     }

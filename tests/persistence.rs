@@ -206,6 +206,64 @@ fn images_with_dangling_references_are_refused() {
             "{what}: view accepted it"
         );
     }
+    // A tag name, encoding path or pid bit set stored twice would shift
+    // every later id off its index, so the owned decode refuses it. The
+    // view checks the same references against the counts in the image
+    // but cannot see a repeat without a table; its owned decode refuses.
+    use xpe::xml::wire::{put_str, put_u32};
+    let image = good.to_bytes();
+    let spans = SummaryView::parse(&image).unwrap().sections();
+    let payload = &image[16..image.len() - 4];
+    let with_section = |span: xpe::synopsis::SectionSpan, section: Vec<u8>| {
+        let mut body = image[..8].to_vec();
+        let len = (span.start + section.len() + payload.len() - span.end) as u64;
+        body.extend_from_slice(&len.to_le_bytes());
+        body.extend_from_slice(&payload[..span.start]);
+        body.extend_from_slice(&section);
+        body.extend_from_slice(&payload[span.end..]);
+        let crc = xpe::xml::wire::crc32(&body);
+        body.extend_from_slice(&crc.to_le_bytes());
+        body
+    };
+    let mut tags = Vec::new();
+    put_u32(&mut tags, good.tags.len() as u32);
+    for (i, (_, name)) in good.tags.iter().enumerate() {
+        put_str(
+            &mut tags,
+            if i == 1 {
+                good.tags.name(xpe::xml::TagId::from_index(0))
+            } else {
+                name
+            },
+        );
+    }
+    let mut pids = Vec::new();
+    put_u32(&mut pids, good.pids.width());
+    put_u32(&mut pids, good.pids.len() as u32);
+    let first = good.pids.iter().next().unwrap().1;
+    for (p, bits) in good.pids.iter() {
+        let bits = if p.index() == 1 { first } else { bits };
+        put_u32(&mut pids, bits.count_ones());
+        bits.ones().for_each(|pos| put_u32(&mut pids, pos));
+    }
+    for (what, bytes, message) in [
+        (
+            "repeated tag name",
+            with_section(spans.tags, tags),
+            "duplicate tag name",
+        ),
+        (
+            "repeated pid bit set",
+            with_section(spans.pids, pids),
+            "duplicate pid",
+        ),
+    ] {
+        let refused = |r: Result<Syn, LoadError>| matches!(r, Err(LoadError::Wire(WireError::BadHeader(m))) if m == message);
+        assert!(refused(Syn::from_bytes(&bytes)), "{what}");
+        let view = SummaryView::parse(&bytes).expect(what);
+        assert!(refused(view.to_summary()), "{what}: view's owned decode");
+    }
+
     // And the image they were made from still loads and answers.
     let bytes = good.to_bytes();
     let loaded = Syn::from_bytes(&bytes).expect("valid image");

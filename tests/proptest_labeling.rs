@@ -58,7 +58,7 @@ impl StreamSink for Retired {
     fn element(&mut self, _tag: TagId, pid: Pid, pre_index: u64) {
         self.0.push((pre_index, pid));
     }
-    fn sibling_after(&mut self, _x: TagId, _pid: Pid, _y: TagId) {}
+    fn sibling_after(&mut self, _x: TagId, _pid: Pid, _y: TagId, _count: u64) {}
     fn sibling_before(&mut self, _x: TagId, _pid: Pid, _y: TagId, _count: u64) {}
 }
 
